@@ -32,7 +32,6 @@ from .ramification import (
 )
 from .tails import infer_inertia, solve_tail_configs
 from .towers import (
-    deform,
     inertia_type_of,
     oracle_jumps,
     oracle_supported,
@@ -123,12 +122,7 @@ def _cmd_admissible(args):
 
 
 def _cmd_enumerate(args):
-    inertia = InertiaType(
-        p=args.p,
-        r=args.r,
-        m=args.m,
-        m_I=args.mI if args.mI is not None else gcd(args.m, args.p - 1),
-    )
+    inertia = _inertia_from_args(args, r=args.r)
     bound = parse_rational(args.bound)
     seqs = enumerate_admissible(inertia, bound)
     payload = {
@@ -162,12 +156,7 @@ def _cmd_genus(args):
 
 
 def _cmd_base_sigma(args):
-    inertia = InertiaType(
-        p=args.p,
-        r=args.r,
-        m=args.m,
-        m_I=args.mI if args.mI is not None else gcd(args.m, args.p - 1),
-    )
+    inertia = _inertia_from_args(args, r=args.r)
     sigma = base_sigma(inertia, args.ell)
     payload = {
         "command": "base-sigma",
@@ -223,15 +212,14 @@ def _cmd_deform(args):
     spec = read_tower_spec(args.spec)
     target = _parse_jumps(args.target)
     verdict = verify_deformation(spec, target, args.scale)
-    deformed = deform(spec, target, args.scale)
     if args.out:
-        write_tower_spec(deformed, args.out)
+        write_tower_spec(verdict.deformed, args.out)
     payload = {
         "command": "deform",
         "check": "jump-deformation",
         "statement": "add scale*x^(m u_i') to x_i when u_i' > p u_{i-1}' and u_i' > u_i",
         "spec": spec.to_dict(),
-        "deformed": deformed.to_dict(),
+        "deformed": verdict.deformed.to_dict(),
         **verdict.to_dict(),
     }
     return payload, None, EXIT_OK if verdict.ok else EXIT_CHECK_FAILED

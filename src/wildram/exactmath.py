@@ -6,7 +6,7 @@ unbounded integer parts.  This module adds the pieces the rest of the
 package needs on top of that:
 
 * p-adic valuation of nonzero integers,
-* prime fields F_p and their quadratic extensions F_{p^2},
+* the quadratic extensions F_{p^2} of prime fields,
 * univariate polynomials over F_p as exact coefficient tuples,
 * Artin-Schreier reduction of such polynomials, i.e. rewriting modulo the
   image of w -> w^p - w until every positive term degree is prime to p.
@@ -100,30 +100,27 @@ def least_nonresidue(p: int) -> int:
 
 
 class FiniteField:
-    """F_p (degree 1) or F_{p^2} = F_p(s) with s^2 = n (degree 2).
+    """F_{p^2} = F_p(s) with s^2 = n, the degree-2 extension of F_p.
 
-    Degree-2 elements are coordinate pairs a + b*s.  Two field objects
-    compare equal when they have the same characteristic and degree, so the
-    quadratic model is canonical.
+    Elements are coordinate pairs a + b*s.  Two field objects compare equal
+    when they have the same characteristic, so the quadratic model is
+    canonical.
     """
 
-    __slots__ = ("p", "degree", "nonresidue", "order")
+    __slots__ = ("p", "nonresidue", "order")
 
-    def __init__(self, p: int, degree: int = 1):
+    def __init__(self, p: int, degree: int):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
-        if degree not in (1, 2):
-            raise ValueError(f"only degree 1 or 2 supported, got {degree}")
-        if degree == 2 and p == 2:
+        if degree != 2:
+            raise ValueError(f"only the quadratic extension (degree 2) is modelled, got {degree}")
+        if p == 2:
             raise ValueError("the quadratic model s^2 = n needs odd p")
         self.p = p
-        self.degree = degree
-        self.nonresidue = least_nonresidue(p) if degree == 2 else None
-        self.order = p**degree
+        self.nonresidue = least_nonresidue(p)
+        self.order = p * p
 
     def element(self, a: int, b: int = 0) -> "FieldElement":
-        if self.degree == 1 and b % self.p != 0:
-            raise ValueError("degree-1 field has no s coordinate")
         return FieldElement(self, a % self.p, b % self.p)
 
     __call__ = element
@@ -136,24 +133,17 @@ class FiniteField:
 
     def elements(self):
         """All field elements, (a, b) lexicographic with a as the major key."""
-        bs = range(self.p) if self.degree == 2 else (0,)
         for a in range(self.p):
-            for b in bs:
+            for b in range(self.p):
                 yield FieldElement(self, a, b)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.degree == other.degree
-        )
+        return isinstance(other, FiniteField) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.p, self.degree))
+        return hash(self.p)
 
     def __repr__(self):
-        if self.degree == 1:
-            return f"F_{self.p}"
         return f"F_{self.p}^2 (s^2 = {self.nonresidue})"
 
 
@@ -217,8 +207,6 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         p = self.field.p
-        if self.field.degree == 1:
-            return FieldElement(self.field, self.a * other.a % p, 0)
         n = self.field.nonresidue
         a = (self.a * other.a + n * self.b * other.b) % p
         b = (self.a * other.b + self.b * other.a) % p
@@ -230,8 +218,6 @@ class FieldElement:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
         p = self.field.p
-        if self.field.degree == 1:
-            return FieldElement(self.field, pow(self.a, p - 2, p), 0)
         # (a + bs)^-1 = (a - bs) / (a^2 - n b^2); the norm is nonzero.
         n = self.field.nonresidue
         norm = (self.a * self.a - n * self.b * self.b) % p
@@ -252,13 +238,7 @@ class FieldElement:
 
     def frobenius(self) -> "FieldElement":
         """x -> x^p.  On the quadratic model this is a + bs -> a - bs."""
-        if self.field.degree == 1:
-            return self
         return FieldElement(self.field, self.a, -self.b % self.field.p)
-
-    def pth_root(self) -> "FieldElement":
-        """Inverse of Frobenius; over F_p and F_{p^2} this is Frobenius itself."""
-        return self.frobenius()
 
     def multiplicative_order(self) -> int:
         if self.is_zero:
@@ -271,7 +251,7 @@ class FieldElement:
         return order
 
     def __repr__(self):
-        if self.field.degree == 1 or self.b == 0:
+        if self.b == 0:
             return str(self.a)
         if self.a == 0:
             return f"{self.b}*s"

@@ -10,11 +10,12 @@ F_{l^2} viewed as a plane over F_l with basis (1, s), s^2 the least
 nonresidue.  Element orders asserted anywhere in this module are confirmed
 by powering these concrete matrices.
 
-The subgroup search enumerates, for groups of order within a budget, the
-closures of all one- and two-element generating sets (reduced to one
-generator per cyclic subgroup, which produces exactly the same closure
-set) and answers questions about dihedral subgroups and quasi-p subgroups
-from that complete list.
+The subgroup search (groups.FiniteGroup, on the PSL2 multiplication
+table) enumerates, for groups of order within a budget, the closures of
+all one- and two-element generating sets (reduced to one generator per
+cyclic subgroup, which produces exactly the same closure set) and answers
+questions about dihedral subgroups and quasi-p subgroups from that
+complete list.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 from math import gcd
 
 from .exactmath import FiniteField, is_prime, prime_factors, vp
+from .groups import FiniteGroup, Subgroup
 
 
 def _require_odd_prime(n: int, name: str):
@@ -317,18 +319,7 @@ def select_triple(p: int, ell: int) -> ClassTriple:
 # Explicit PSL2 and its subgroup lattice
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    ids: tuple[int, ...]
-    mask: int
-    generators: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
-
-class Psl2Atlas:
+class Psl2Atlas(FiniteGroup):
     """PSL2(F_l) as element list plus full multiplication table.
 
     Elements are sign-canonical SL2 matrices: of the pair {M, -M} keep the
@@ -339,12 +330,7 @@ class Psl2Atlas:
         _require_odd_prime(ell, "ell")
         self.ell = ell
         self._build_elements()
-        self._build_table()
-        self._build_orders_and_inverses()
-        self._cyclic = None
-        self._subgroups = None
-
-    # -- construction
+        super().__init__(self.n, self._build_table(), self._index[(1, 0, 0, 1)])
 
     def _canonical(self, m: Matrix) -> Matrix:
         ell = self.ell
@@ -383,9 +369,8 @@ class Psl2Atlas:
         if self.n != expected:
             raise RuntimeError(f"PSL2(F_{ell}) enumeration found {self.n}, expected {expected}")
         self._index = seen
-        self.identity_id = seen[(1, 0, 0, 1)]
 
-    def _build_table(self):
+    def _build_table(self) -> list[int]:
         ell, n = self.ell, self.n
         index = self._index
         elements = self.elements
@@ -405,219 +390,7 @@ class Psl2Atlas:
                 elif w1 > half:
                     w1, w2, w3 = -w1 % ell, -w2 % ell, -w3 % ell
                 table[base + j] = index[(w0, w1, w2, w3)]
-        self.table = table
-
-    def _build_orders_and_inverses(self):
-        n, table, e = self.n, self.table, self.identity_id
-        orders = [0] * n
-        inverses = [0] * n
-        for i in range(n):
-            k = 1
-            acc = i
-            prev = i
-            while acc != e:
-                prev = acc
-                acc = table[acc * n + i]
-                k += 1
-            orders[i] = k
-            inverses[i] = prev if k > 1 else e
-        self.orders = orders
-        self.inverses = inverses
-
-    # -- closures
-
-    def closure_ids(self, gens) -> tuple[int, ...] | None:
-        """Sorted ids of <gens>; None means the closure is the whole group.
-
-        Once more than half the elements are reached the subgroup must be
-        everything (its order divides the group order), so the search can
-        stop early.
-        """
-        n, table = self.n, self.table
-        gens = sorted(set(gens))
-        seen = bytearray(n)
-        e = self.identity_id
-        seen[e] = 1
-        frontier = [e]
-        count = 1
-        half = n // 2
-        while frontier:
-            nxt = []
-            for x in frontier:
-                base = x * n
-                for g in gens:
-                    y = table[base + g]
-                    if not seen[y]:
-                        seen[y] = 1
-                        nxt.append(y)
-                        count += 1
-            if count > half:
-                return None
-            frontier = nxt
-        return tuple(i for i in range(n) if seen[i])
-
-    @staticmethod
-    def _mask(ids) -> int:
-        m = 0
-        for i in ids:
-            m |= 1 << i
-        return m
-
-    def whole_group(self) -> Subgroup:
-        ids = tuple(range(self.n))
-        return Subgroup(ids=ids, mask=(1 << self.n) - 1, generators=())
-
-    def cyclic_subgroups(self) -> list[Subgroup]:
-        """One Subgroup per distinct cyclic subgroup, generator = least id."""
-        if self._cyclic is None:
-            found = {}
-            n, table, e = self.n, self.table, self.identity_id
-            for i in range(n):
-                ids = [e]
-                acc = i
-                while acc != e:
-                    ids.append(acc)
-                    acc = table[acc * n + i]
-                key = tuple(sorted(ids))
-                if key not in found:
-                    found[key] = Subgroup(ids=key, mask=self._mask(key), generators=(i,))
-            self._cyclic = sorted(found.values(), key=lambda s: (s.size, s.ids))
-        return self._cyclic
-
-    def subgroups(self) -> list[Subgroup]:
-        """Every closure of a one- or two-element generating set, deduplicated.
-
-        Reducing generators to one representative per cyclic subgroup loses
-        nothing: <g, h> depends only on (<g>, <h>).
-        """
-        if self._subgroups is None:
-            found: dict[int, Subgroup] = {}
-            whole = self.whole_group()
-            found[whole.mask] = whole
-            cyclic = self.cyclic_subgroups()
-            for sub in cyclic:
-                found.setdefault(sub.mask, sub)
-            for i, ci in enumerate(cyclic):
-                gi = ci.generators[0]
-                for cj in cyclic[i + 1 :]:
-                    if ci.mask & cj.mask in (ci.mask, cj.mask):
-                        continue  # one cyclic inside the other: closure already known
-                    ids = self.closure_ids((gi, cj.generators[0]))
-                    if ids is None:
-                        continue
-                    mask = self._mask(ids)
-                    if mask not in found:
-                        found[mask] = Subgroup(
-                            ids=ids, mask=mask, generators=(gi, cj.generators[0])
-                        )
-            self._subgroups = sorted(found.values(), key=lambda s: (s.size, s.ids))
-        return self._subgroups
-
-    # -- predicates
-
-    def is_abelian_subgroup(self, sub: Subgroup) -> bool:
-        n, table = self.n, self.table
-        ids = sub.ids
-        for a in ids:
-            for b in ids:
-                if b >= a:
-                    break
-                if table[a * n + b] != table[b * n + a]:
-                    return False
-        return True
-
-    def p_element_ids(self, sub: Subgroup, p: int) -> list[int]:
-        out = []
-        for i in sub.ids:
-            o = self.orders[i]
-            if o > 1 and o == p ** vp(o, p):
-                out.append(i)
-        return out
-
-    def is_quasi_p(self, sub: Subgroup, p: int) -> bool:
-        """Whether the subgroup is generated by its elements of p-power order."""
-        p_ids = self.p_element_ids(sub, p)
-        if not p_ids:
-            return sub.size == 1
-        ids = self.closure_ids(p_ids)
-        if ids is None:
-            return sub.size == self.n
-        return ids == sub.ids
-
-    def semidirect_p_form(self, sub: Subgroup, p: int) -> bool:
-        """Whether the subgroup is Z/p x| Z/m with p not dividing m.
-
-        Requires |H| = p*m with v_p = 1, all p-elements in one (then
-        automatically normal) subgroup of order p, and a cyclic subgroup of
-        order m to act as the complement.
-        """
-        if sub.size % p != 0 or vp(sub.size, p) != 1:
-            return False
-        m = sub.size // p
-        p_ids = self.p_element_ids(sub, p)
-        if len(p_ids) != p - 1:
-            return False
-        p_closure = self.closure_ids(p_ids)
-        if p_closure is None or len(p_closure) != p:
-            return False
-        if m == 1:
-            return True
-        return any(
-            c.size == m and c.mask & sub.mask == c.mask for c in self.cyclic_subgroups()
-        )
-
-    def conjugate_id(self, g: int, x: int) -> int:
-        n, table = self.n, self.table
-        return table[table[g * n + x] * n + self.inverses[g]]
-
-    def normalizer_mod_centralizer(self, p: int) -> int:
-        """|N(P)/Z(P)| for P a p-Sylow subgroup, by direct scan."""
-        a = vp(self.n, p)
-        if a == 0:
-            return 1
-        target = p**a
-        gen = next(i for i in range(self.n) if self.orders[i] == target)
-        sylow = self.closure_ids([gen])
-        sylow_set = set(sylow)
-        n_count = 0
-        z_count = 0
-        n, table = self.n, self.table
-        for g in range(n):
-            if all(self.conjugate_id(g, x) in sylow_set for x in sylow):
-                n_count += 1
-                if all(self.conjugate_id(g, x) == x for x in sylow):
-                    z_count += 1
-        return n_count // z_count
-
-    def three_generator_stability(self) -> bool:
-        """No closure of (2-generated subgroup + one more cyclic) is new."""
-        subs = self.subgroups()
-        masks = {s.mask for s in subs}
-        for sub in subs:
-            if not sub.generators:  # whole group
-                continue
-            for cyc in self.cyclic_subgroups():
-                if cyc.mask & sub.mask == cyc.mask:
-                    continue
-                ids = self.closure_ids(sub.generators + (cyc.generators[0],))
-                mask = (1 << self.n) - 1 if ids is None else self._mask(ids)
-                if mask not in masks:
-                    return False
-        return True
-
-    def check_subgroups_closed(self) -> bool:
-        """Every discovered subgroup is closed under product and inverse."""
-        n, table = self.n, self.table
-        for sub in self.subgroups():
-            members = set(sub.ids)
-            for a in sub.ids:
-                if self.inverses[a] not in members:
-                    return False
-                base = a * n
-                for b in sub.ids:
-                    if table[base + b] not in members:
-                        return False
-        return True
+        return table
 
 
 @lru_cache(maxsize=None)

@@ -76,47 +76,6 @@ class JumpSequence:
 
 
 @dataclass(frozen=True)
-class RamificationFiltration:
-    """A jump sequence tagged with its numbering convention.
-
-    Upper jumps live on the grid (1/m) N; lower jumps are positive
-    integers.  Conversion methods delegate to the Herbrand maps below.
-    """
-
-    numbering: str  # "lower" | "upper"
-    jumps: "JumpSequence"
-    inertia: InertiaType
-
-    def __post_init__(self):
-        if self.numbering not in ("lower", "upper"):
-            raise ValueError(f"unknown numbering {self.numbering!r}")
-        if len(self.jumps) != self.inertia.r:
-            raise ValueError("jump count does not match the wild exponent r")
-        if self.numbering == "upper":
-            bad = [u for u in self.jumps if (self.inertia.m * u).denominator != 1]
-            if bad:
-                raise ValueError(f"upper jumps must lie in (1/m) N; offending {bad[0]}")
-        else:
-            bad = [h for h in self.jumps if h.denominator != 1]
-            if bad:
-                raise ValueError(f"lower jumps must be integers; offending {bad[0]}")
-
-    def to_upper(self) -> "RamificationFiltration":
-        if self.numbering == "upper":
-            return self
-        return RamificationFiltration(
-            "upper", upper_from_lower(self.inertia, list(self.jumps)), self.inertia
-        )
-
-    def to_lower(self) -> "RamificationFiltration":
-        if self.numbering == "lower":
-            return self
-        return RamificationFiltration(
-            "lower", lower_from_upper(self.inertia, self.jumps), self.inertia
-        )
-
-
-@dataclass(frozen=True)
 class ConditionResult:
     name: str
     ok: bool | None  # None: not evaluated because (a) failed

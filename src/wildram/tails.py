@@ -22,14 +22,16 @@ closure.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .exactmath import format_rational, is_prime, vp
+from .exactmath import format_rational, is_prime, prime_factors, vp
+from .groups import FiniteGroup
 
-GROUP_SIZE_LIMIT = 10_000
+GROUP_SIZE_LIMIT = 2_000
 SEARCH_LIMIT = 2_000_000
 
 
@@ -169,69 +171,39 @@ def infer_inertia(sigma, p: int, m_G: int) -> InertiaInference:
 # Small concrete groups
 
 
-class SmallGroup:
-    """Finite group on hashable labels with explicit multiplication."""
+class SmallGroup(FiniteGroup):
+    """Z/q x| Z/m on ids a + q*b, multiplied by
+    (a1, b1)(a2, b2) = (a1 + u^b1 a2, b1 + b2) for the action unit u mod q."""
 
-    def __init__(self, name: str, elements, mul, identity):
-        self.name = name
-        self.elements = tuple(elements)
-        self._mul = mul
-        self.identity = identity
-        self._orders: dict = {}
-        if identity not in set(self.elements):
-            raise ValueError("identity is not an element")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def multiply(self, a, b):
-        return self._mul(a, b)
-
-    def inverse(self, a):
-        acc = a
-        prev = a
-        while acc != self.identity:
-            prev = acc
-            acc = self._mul(acc, a)
-        return prev if a != self.identity else self.identity
-
-    def order_of(self, a) -> int:
-        if a not in self._orders:
-            k = 1
-            acc = a
-            while acc != self.identity:
-                acc = self._mul(acc, a)
-                k += 1
-            self._orders[a] = k
-        return self._orders[a]
-
-    def closure(self, gens) -> frozenset:
-        members = {self.identity}
-        frontier = [self.identity]
-        gens = list(dict.fromkeys(gens))
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self._mul(x, g)
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(members)
-
-    def generates(self, gens) -> bool:
-        return len(self.closure(gens)) == self.order
-
-    def __repr__(self):
-        return f"{self.name} (order {self.order})"
+    def __init__(self, q: int, m: int, unit: int):
+        n = q * m
+        if n > GROUP_SIZE_LIMIT:
+            raise ValueError(f"group order {n} exceeds the limit {GROUP_SIZE_LIMIT}")
+        self.action_unit = unit
+        # Row (a1, b1), block b2, holds (a1 + w a2) + q (b1 + b2) with w = u^b1.
+        # It is the row of (0, b1) rotated by a2 -> a2 + a1/w, so every row
+        # is sliced from one scaled block per offset b1 + b2.  Ids are
+        # below GROUP_SIZE_LIMIT < 2^16, which an unsigned short holds.
+        table = array("H")
+        w = 1
+        for b1 in range(m):
+            scaled = [w * a2 % q for a2 in range(q)]
+            blocks = [array("H", [s + q * c for s in scaled]) for c in range(m)]
+            w_inverse = pow(w, -1, q)
+            for a1 in range(q):
+                t = w_inverse * a1 % q
+                for b2 in range(m):
+                    block = blocks[(b1 + b2) % m]
+                    table += block[t:]
+                    table += block[:t]
+            w = w * unit % q
+        super().__init__(n, table, 0)
 
     @classmethod
     def cyclic(cls, n: int) -> "SmallGroup":
         if n < 1:
             raise ValueError("cyclic group order must be positive")
-        return cls(f"Z/{n}", range(n), lambda a, b: (a + b) % n, 0)
+        return cls(n, 1, 1)
 
     @classmethod
     def semidirect(cls, p: int, r: int, m: int, m_I: int | None = None) -> "SmallGroup":
@@ -247,25 +219,9 @@ class SmallGroup:
         if m % m_I != 0 or (p - 1) % m_I != 0:
             raise ValueError(f"m_I = {m_I} must divide gcd(m, p - 1)")
         q = p**r
-        if q * m > GROUP_SIZE_LIMIT:
+        if q * m > GROUP_SIZE_LIMIT:  # before the unit search, which scans up to q
             raise ValueError(f"group order {q * m} exceeds the limit {GROUP_SIZE_LIMIT}")
-        unit = _smallest_unit_of_order(q, p, m_I)
-        powers = [1] * m
-        for b in range(1, m):
-            powers[b] = powers[b - 1] * unit % q
-
-        def mul(x, y):
-            return ((x[0] + powers[x[1]] * y[0]) % q, (x[1] + y[1]) % m)
-
-        if m == 1:
-            name = f"Z/{q}"
-        elif m == 2 and m_I == 2:
-            name = f"D_{q}"
-        else:
-            name = f"Z/{q} x| Z/{m} (unit {unit})"
-        group = cls(name, product(range(q), range(m)), mul, (0, 0))
-        group.action_unit = unit
-        return group
+        return cls(q, m, _smallest_unit_of_order(q, p, m_I))
 
 
 def _smallest_unit_of_order(q: int, p: int, m_I: int) -> int:
@@ -276,37 +232,12 @@ def _smallest_unit_of_order(q: int, p: int, m_I: int) -> int:
         if u % p == 0:
             continue
         order = euler
-        for f in set(_factorize(euler)):
+        for f in prime_factors(euler):
             while order % f == 0 and pow(u, order // f, q) == 1:
                 order //= f
         if order == m_I:
             return u
     raise ValueError(f"no unit of order {m_I} mod {q}")
-
-
-def _factorize(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out.append(f)
-            n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _cyclic_representatives(group: SmallGroup, candidates) -> list:
-    """One generator per distinct cyclic subgroup among the candidates."""
-    seen = set()
-    reps = []
-    for x in candidates:
-        sub = group.closure([x])
-        if sub not in seen:
-            seen.add(sub)
-            reps.append(x)
-    return reps
 
 
 def generation_obstruction(
@@ -315,7 +246,8 @@ def generation_obstruction(
     """True when Z/p^r x| Z/m cannot be generated by one wild element (order
     divisible by p, with p-valuation at most vp_gen) together with one
     prime-to-p element.  Decided by exhaustive search over the concrete
-    group.
+    group; <x, y> depends only on (<x>, <y>), so one generator per cyclic
+    subgroup is tried.
 
     The wild generator must have order divisible by p: it stands for the
     image of an inertia generator whose index has positive p-valuation,
@@ -326,15 +258,16 @@ def generation_obstruction(
     if vp_gen < 0:
         raise ValueError("vp_gen must be nonnegative")
     group = SmallGroup.semidirect(p, r, m, m_I)
-    wild = [
-        x
-        for x in group.elements
-        if group.order_of(x) % p == 0 and vp(group.order_of(x), p) <= vp_gen
-    ]
-    tame = [y for y in group.elements if group.order_of(y) % p != 0]
-    for x in _cyclic_representatives(group, wild):
-        for y in _cyclic_representatives(group, tame):
-            if group.generates([x, y]):
+    wild = []
+    tame = []
+    for c in group.cyclic_subgroups():
+        if c.size % p != 0:
+            tame.append(c.generators[0])
+        elif vp(c.size, p) <= vp_gen:
+            wild.append(c.generators[0])
+    for x in wild:
+        for y in tame:
+            if group.generates((x, y)):
                 return False
     return True
 
@@ -343,14 +276,13 @@ def branch_cycle_feasible(group: SmallGroup, branch_orders) -> bool:
     """Whether elements of exactly the given orders with product one can
     generate the group.  With two branch orders this forces a cyclic group
     and both orders equal to the group order."""
-    if group.order > GROUP_SIZE_LIMIT:
-        raise ValueError(f"group order {group.order} exceeds the limit {GROUP_SIZE_LIMIT}")
     orders = list(branch_orders)
     if not orders:
         raise ValueError("need at least one branch order")
+    n, table, element_orders = group.n, group.table, group.orders
     buckets = []
     for o in orders:
-        bucket = [x for x in group.elements if group.order_of(x) == o]
+        bucket = [x for x in range(n) if element_orders[x] == o]
         if not bucket:
             return False
         buckets.append(bucket)
@@ -361,37 +293,12 @@ def branch_cycle_feasible(group: SmallGroup, branch_orders) -> bool:
         raise ValueError(f"search space {work} exceeds the limit {SEARCH_LIMIT}")
     last_order = orders[-1]
     for head in product(*buckets[:-1]):
-        acc = group.identity
+        acc = group.identity_id
         for g in head:
-            acc = group.multiply(acc, g)
-        tail = group.inverse(acc)
-        if group.order_of(tail) != last_order:
+            acc = table[acc * n + g]
+        tail = group.inverses[acc]
+        if element_orders[tail] != last_order:
             continue
-        if group.generates(list(head) + [tail]):
+        if group.generates(head + (tail,)):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class BranchData:
-    """Branching indices (e_1, e_2, e_3) with p-valuations (0, v_2, v_3),
-    v_2 < v_3; the shape produced by the class-triple recipe."""
-
-    p: int
-    indices: tuple[int, int, int]
-
-    def __post_init__(self):
-        v = self.valuations
-        if not (v[0] == 0 < v[1] < v[2]):
-            raise ValueError(f"valuations {v} are not of the shape 0 < v_2 < v_3")
-
-    @property
-    def valuations(self) -> tuple[int, int, int]:
-        return tuple(vp(e, self.p) for e in self.indices)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "indices": list(self.indices),
-            "valuations": list(self.valuations),
-        }

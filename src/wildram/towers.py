@@ -103,46 +103,6 @@ def inertia_type_of(t: TowerSpec) -> InertiaType:
     return InertiaType(p=t.p, r=t.r, m=t.m, m_I=m_I)
 
 
-@dataclass(frozen=True)
-class TowerAction:
-    """Galois action data of a tower.
-
-    The tame generator c scales x by a primitive m-th root of unity zeta
-    (kept as a marker, not a field element) and every layer variable by
-    zeta^scaling_exponent, whose order is action_order = m_I.  The wild
-    generator of order p^r translates layer i by the value of f_i at
-    (y_1, ..., y_{i-1}, 1, 0, ..., 0); those translations are recorded for
-    r <= 2, the range where the carry polynomial is pinned down here.
-    """
-
-    p: int
-    m: int
-    scaling_exponent: int
-    action_order: int
-    wild_order: int
-    translations: tuple[FpPolynomial, ...]
-
-
-def tower_action(t: TowerSpec) -> TowerAction:
-    inertia = inertia_type_of(t)
-    translations: tuple[FpPolynomial, ...] = ()
-    if t.r == 1:
-        translations = (FpPolynomial.monomial(t.p, 1, 0),)
-    elif t.r == 2:
-        translations = (
-            FpPolynomial.monomial(t.p, 1, 0),
-            WittCarry(t.p).second_layer_translation(),
-        )
-    return TowerAction(
-        p=t.p,
-        m=t.m,
-        scaling_exponent=t.residue_class,
-        action_order=inertia.m_I,
-        wild_order=t.p**t.r,
-        translations=translations,
-    )
-
-
 def predicted_jumps(t: TowerSpec) -> JumpSequence:
     """u_1 = deg(x_1)/m, u_i = max(deg(x_i)/m, p u_{i-1}); a zero layer
     contributes only the p u_{i-1} branch."""
@@ -170,46 +130,6 @@ def oracle_supported(t: TowerSpec) -> bool:
 WittVector = tuple[FpPolynomial, FpPolynomial]
 
 
-@dataclass(frozen=True)
-class WittCarry:
-    """The length-2 carry (a^p + b^p - (a + b)^p) / p in characteristic p.
-
-    Stored as the coefficient row binom(p, i)/p mod p of a^i b^(p-i); the
-    second wild layer of a tower reads y_2^p - y_2 = x_2 - carry(y_1^p, -y_1),
-    so x_2 enters that equation only through the lone linear term.
-    """
-
-    p: int
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return _carry_coefficients(self.p)
-
-    def apply(self, a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
-        if a.p != self.p or b.p != self.p:
-            raise ValueError("carry of polynomials over the wrong field")
-        if a.is_zero or b.is_zero:
-            return FpPolynomial.zero(self.p)
-        coeffs = self.coefficients
-        pow_a = [a]
-        pow_b = [b]
-        for _ in range(self.p - 2):
-            pow_a.append(pow_a[-1] * a)
-            pow_b.append(pow_b[-1] * b)
-        total = FpPolynomial.zero(self.p)
-        for i in range(1, self.p):
-            term = (pow_a[i - 1] * pow_b[self.p - i - 1]).scale(coeffs[i - 1])
-            total = total + term
-        return -total
-
-    def second_layer_translation(self) -> FpPolynomial:
-        """f_2(y, 1, 0, ...): the wild generator shifts the second layer
-        variable by -carry(y^p, -y), a polynomial in the first layer
-        variable alone."""
-        y = FpPolynomial.monomial(self.p, 1, 1)
-        return -self.apply(y.pth_power(), -y)
-
-
 @lru_cache(maxsize=None)
 def _carry_coefficients(p: int) -> tuple[int, ...]:
     # binom(p, i) / p mod p for i = 1..p-1; exact integer division
@@ -217,8 +137,27 @@ def _carry_coefficients(p: int) -> tuple[int, ...]:
 
 
 def witt_carry(a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
-    """(a^p + b^p - (a + b)^p) / p as a polynomial over F_p."""
-    return WittCarry(a.p).apply(a, b)
+    """(a^p + b^p - (a + b)^p) / p as a polynomial over F_p.
+
+    Sums the coefficient row binom(p, i)/p mod p of a^i b^(p-i); the
+    second wild layer of a tower reads y_2^p - y_2 = x_2 - carry(y_1^p, -y_1),
+    so x_2 enters that equation only through the lone linear term.
+    """
+    p = a.p
+    if b.p != p:
+        raise ValueError("carry of polynomials over the wrong field")
+    if a.is_zero or b.is_zero:
+        return FpPolynomial.zero(p)
+    coeffs = _carry_coefficients(p)
+    pow_a = [a]
+    pow_b = [b]
+    for _ in range(p - 2):
+        pow_a.append(pow_a[-1] * a)
+        pow_b.append(pow_b[-1] * b)
+    total = FpPolynomial.zero(p)
+    for i in range(1, p):
+        total = total + (pow_a[i - 1] * pow_b[p - i - 1]).scale(coeffs[i - 1])
+    return -total
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
@@ -343,6 +282,7 @@ class DeformationVerdict:
     predicted: JumpSequence
     oracle: JumpSequence | None
     message: str
+    deformed: TowerSpec  # the deformed tower itself; not part of the report
 
     def to_dict(self) -> dict:
         return {
@@ -367,7 +307,12 @@ def verify_deformation(t: TowerSpec, target: JumpSequence, scale: int = 1) -> De
     else:
         message = f"oracle reports {oracle}, target was {target}"
     return DeformationVerdict(
-        ok=ok, target=target, predicted=predicted, oracle=oracle, message=message
+        ok=ok,
+        target=target,
+        predicted=predicted,
+        oracle=oracle,
+        message=message,
+        deformed=deformed,
     )
 
 

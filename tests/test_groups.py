@@ -1,0 +1,104 @@
+"""The shared finite-group core on SmallGroup tables."""
+
+from itertools import product
+
+import pytest
+
+from wildram.exactmath import vp
+from wildram.tails import GROUP_SIZE_LIMIT, SmallGroup, generation_obstruction
+
+# every SmallGroup shape that checks.py and the tests build
+SHAPES = [
+    ("semidirect", (3, 2, 2)),
+    ("semidirect", (3, 2, 2, 1)),
+    ("semidirect", (3, 3, 2)),
+    ("semidirect", (5, 1, 2)),
+    ("semidirect", (5, 1, 4)),
+    ("semidirect", (7, 1, 1)),
+    ("semidirect", (7, 1, 2)),
+    ("semidirect", (7, 1, 3)),
+    ("cyclic", (9,)),
+    ("cyclic", (12,)),
+]
+
+
+def build(kind, args):
+    return getattr(SmallGroup, kind)(*args)
+
+
+@pytest.mark.parametrize("kind,args", SHAPES)
+def test_table_axioms(kind, args):
+    g = build(kind, args)
+    n, t, e = g.n, g.table, g.identity_id
+    assert len(t) == n * n
+    for x in range(n):
+        assert t[e * n + x] == x and t[x * n + e] == x
+        assert sorted(t[x * n : (x + 1) * n]) == list(range(n))
+        assert t[x * n + g.inverses[x]] == e and t[g.inverses[x] * n + x] == e
+        acc, k = x, 1
+        while acc != e:
+            acc, k = t[acc * n + x], k + 1
+        assert g.orders[x] == k
+
+
+def test_size_cap_refuses_the_table():
+    assert GROUP_SIZE_LIMIT == 2000
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        SmallGroup.semidirect(3, 7, 1)  # 2187 elements
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        SmallGroup.cyclic(GROUP_SIZE_LIMIT + 1)
+    assert SmallGroup.cyclic(GROUP_SIZE_LIMIT).n == GROUP_SIZE_LIMIT
+
+
+@pytest.mark.parametrize(
+    "args,count",
+    [
+        # D_9: one subgroup per divisor d of 9 (the rotations) plus 9/d
+        # dihedral subgroups of order 2d, tau(9) + sigma(9) = 3 + 13
+        ((3, 2, 2), 16),
+        # Z/7 x| Z/3: trivial, Z/7, seven Sylow 3-subgroups, whole
+        ((7, 1, 3), 10),
+    ],
+)
+def test_subgroup_search_on_small_groups(args, count):
+    g = SmallGroup.semidirect(*args)
+    assert len(g.subgroups()) == count
+    assert g.check_subgroups_closed()
+    assert g.three_generator_stability()
+
+
+def _brute_obstruction(p, r, m, vp_gen):
+    """Every element pair, multiplied by the defining formula on (a, b)."""
+    g = SmallGroup.semidirect(p, r, m)
+    q, u = p**r, g.action_unit
+
+    def mul(x, y):
+        return ((x[0] + pow(u, x[1], q) * y[0]) % q, (x[1] + y[1]) % m)
+
+    elements = list(product(range(q), range(m)))
+    one = (0, 0)
+
+    def order(x):
+        acc, k = x, 1
+        while acc != one:
+            acc, k = mul(acc, x), k + 1
+        return k
+
+    def generated(gens):
+        seen, frontier = {one}, [one]
+        while frontier:
+            frontier = [mul(x, s) for x in frontier for s in gens]
+            frontier = [y for y in set(frontier) if y not in seen]
+            seen.update(frontier)
+        return len(seen)
+
+    orders = {x: order(x) for x in elements}
+    wild = [x for x in elements if orders[x] % p == 0 and vp(orders[x], p) <= vp_gen]
+    tame = [y for y in elements if orders[y] % p != 0]
+    return not any(generated((x, y)) == q * m for x in wild for y in tame)
+
+
+@pytest.mark.parametrize("p,r,m", [(3, 2, 2), (3, 3, 2), (5, 1, 4), (7, 1, 3)])
+def test_generation_obstruction_matches_all_pairs(p, r, m):
+    for vp_gen in range(r + 1):
+        assert generation_obstruction(r, m, vp_gen, p) is _brute_obstruction(p, r, m, vp_gen)

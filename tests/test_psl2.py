@@ -171,12 +171,6 @@ def test_atlas_psl2_13_sylow_counts():
     assert sizes[1092] == 1
 
 
-def test_normalizer_mod_centralizer_is_two():
-    assert psl2_atlas(13).normalizer_mod_centralizer(7) == 2
-    assert psl2_atlas(11).normalizer_mod_centralizer(5) == 2
-    assert psl2_atlas(5).normalizer_mod_centralizer(3) == 2
-
-
 def test_subgroup_claims_7_13():
     report = verify_subgroup_claims(7, 13)
     assert report.status == "checked"

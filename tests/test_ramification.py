@@ -197,21 +197,6 @@ def test_divisor_degree_integral_over_enumeration_bound_20():
             assert divisor_degree(inertia, sigma) > 0
 
 
-def test_filtration_wrapper():
-    from wildram.ramification import RamificationFiltration
-
-    upper = RamificationFiltration("upper", seq(Fraction(3, 2)), D7)
-    lower = upper.to_lower()
-    assert lower.numbering == "lower" and lower.jumps == seq(3)
-    assert lower.to_upper().jumps == upper.jumps
-    with pytest.raises(ValueError):
-        RamificationFiltration("upper", seq(Fraction(1, 3)), D7)
-    with pytest.raises(ValueError):
-        RamificationFiltration("lower", seq(Fraction(3, 2)), D7)
-    with pytest.raises(ValueError):
-        RamificationFiltration("middle", seq(1), Z7)
-
-
 def test_base_sigma():
     assert base_sigma(D7, 97) == seq(Fraction(3, 2))
     assert base_sigma(Z7, 97) == seq(2)  # 97 = 1 mod 8

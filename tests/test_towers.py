@@ -16,6 +16,7 @@ from wildram.psl2 import InertiaType
 from wildram.ramification import JumpSequence, is_admissible
 from wildram.towers import (
     TowerSpec,
+    _carry_coefficients,
     deform,
     format_tower_spec,
     inertia_type_of,
@@ -133,33 +134,14 @@ def test_witt_arithmetic_identities():
 
 def test_witt_carry_closed_form():
     # p = 3: (a^3 + b^3 - (a+b)^3)/3 = -(a^2 b + a b^2)
+    assert _carry_coefficients(3) == (1, 1)
     a = poly(3, (1, 1))
     b = poly(3, (2, 1))
     expect = -(a * a * b + a * b * b)
     assert witt_carry(a, b) == expect
-
-
-def test_witt_carry_type_and_action():
-    from wildram.towers import WittCarry, tower_action
-
-    carry = WittCarry(3)
-    assert carry.coefficients == (1, 1)
-    # sigma shifts the second layer by -carry(y^3, -y) = -y^7 + y^5
-    assert carry.second_layer_translation() == poly(3, (7, 2), (5, 1))
-
-    two_layer = TowerSpec(
-        p=3, m=1, r=2, x_polys=(poly(3, (2, 1)), poly(3, (5, 1))), residue_class=0
-    )
-    action = tower_action(two_layer)
-    assert action.wild_order == 9
-    assert action.action_order == 1
-    assert action.translations[0] == poly(3, (0, 1))
-    assert action.translations[1] == carry.second_layer_translation()
-
-    dihedral = monomial_tower(7, 2, 3)
-    action = tower_action(dihedral)
-    # x scales by zeta, the layer variables by zeta^1 of order m_I = 2
-    assert (action.scaling_exponent, action.action_order, action.wild_order) == (1, 2, 7)
+    # the wild generator shifts the second layer by -carry(y^3, -y) = -y^7 + y^5
+    y = poly(3, (1, 1))
+    assert -witt_carry(y.pth_power(), -y) == poly(3, (7, 2), (5, 1))
 
 
 def test_oracle_invariant_under_first_layer_witt_shift():
