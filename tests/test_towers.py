@@ -134,14 +134,28 @@ def test_witt_arithmetic_identities():
 
 def test_witt_carry_closed_form():
     # p = 3: (a^3 + b^3 - (a+b)^3)/3 = -(a^2 b + a b^2)
-    assert _carry_coefficients(3) == (1, 1)
     a = poly(3, (1, 1))
     b = poly(3, (2, 1))
     expect = -(a * a * b + a * b * b)
     assert witt_carry(a, b) == expect
-    # the wild generator shifts the second layer by -carry(y^3, -y) = -y^7 + y^5
+
+
+def test_witt_carry_type_and_action():
+    assert _carry_coefficients(3) == (1, 1)
+    # sigma shifts the second layer by -carry(y^3, -y) = -y^7 + y^5
     y = poly(3, (1, 1))
     assert -witt_carry(y.pth_power(), -y) == poly(3, (7, 2), (5, 1))
+
+    two_layer = TowerSpec(
+        p=3, m=1, r=2, x_polys=(poly(3, (2, 1)), poly(3, (5, 1))), residue_class=0
+    )
+    inertia = inertia_type_of(two_layer)
+    assert (inertia.p**inertia.r, inertia.m_I) == (9, 1)
+
+    dihedral = monomial_tower(7, 2, 3)
+    inertia = inertia_type_of(dihedral)
+    # x scales by zeta^1, the layer variables by a character of order m_I = 2
+    assert (dihedral.residue_class, inertia.m_I, inertia.p**inertia.r) == (1, 2, 7)
 
 
 def test_oracle_invariant_under_first_layer_witt_shift():
