@@ -6,6 +6,15 @@ the table from a concrete model (2x2 matrices, residue pairs) and this
 class owns everything computed from it: element orders and inverses, closures,
 cyclic subgroups, the subgroups generated by at most two elements, and the
 structural predicates the subgroup and generation checks ask about.
+
+The subgroup search works up to conjugacy, after the conjugacy-class
+lattice method (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*).  Since g<x, y>g^-1 = <gxg^-1, gyg^-1>, every subgroup generated
+by two cyclic subgroups is conjugate to some <x, y> with <x> one
+representative per conjugacy class of cyclic subgroups and <y> one
+representative per orbit of the normalizer N(<x>) on the cyclic subgroups.
+Only those pairs are closed; each new closure brings its whole conjugacy
+class.
 """
 
 from __future__ import annotations
@@ -41,26 +50,44 @@ class FiniteGroup:
         self.n = n
         self.table = table
         self.identity_id = identity_id
-        self._build_orders_and_inverses()
+        self._walk_cyclic_subgroups()
         self._cyclic = None
         self._subgroups = None
 
-    def _build_orders_and_inverses(self):
+    def _walk_cyclic_subgroups(self):
+        """Orders and inverses from one walk x, x^2, ..., x^k = 1 per cyclic subgroup.
+
+        Each walk starts at an element not yet reached, which is the least
+        id generating its cyclic subgroup.  The generators x^j, gcd(j, k) = 1,
+        get order k and inverse x^(k - j) and are marked, so each cyclic
+        subgroup is walked once; every element generates exactly one cyclic
+        subgroup, so every element is reached.
+        """
         n, table, e = self.n, self.table, self.identity_id
         orders = [0] * n
         inverses = [0] * n
+        walk_of = [0] * n
+        walks = []
         for i in range(n):
-            k = 1
+            if orders[i]:
+                continue
+            powers = [e]
             acc = i
-            prev = i
             while acc != e:
-                prev = acc
+                powers.append(acc)
                 acc = table[acc * n + i]
-                k += 1
-            orders[i] = k
-            inverses[i] = prev if k > 1 else e
+            k = len(powers)
+            for j in range(k):
+                if gcd(j, k) == 1:
+                    x = powers[j]
+                    orders[x] = k
+                    inverses[x] = powers[-j]
+                    walk_of[x] = len(walks)
+            walks.append((i, powers))
         self.orders = orders
         self.inverses = inverses
+        self._walks = walks
+        self._walk_of = walk_of
 
     # -- closures
 
@@ -76,8 +103,8 @@ class FiniteGroup:
         seen = bytearray(n)
         e = self.identity_id
         seen[e] = 1
+        members = [e]
         frontier = [e]
-        count = 1
         half = n // 2
         while frontier:
             nxt = []
@@ -88,11 +115,11 @@ class FiniteGroup:
                     if not seen[y]:
                         seen[y] = 1
                         nxt.append(y)
-                        count += 1
-            if count > half:
+            members += nxt
+            if len(members) > half:
                 return None
             frontier = nxt
-        return tuple(i for i in range(n) if seen[i])
+        return tuple(sorted(members))
 
     def generates(self, gens) -> bool:
         return self.closure_ids(gens) is None
@@ -102,37 +129,33 @@ class FiniteGroup:
         return Subgroup(ids=ids, mask=(1 << self.n) - 1, generators=())
 
     def cyclic_subgroups(self) -> list[Subgroup]:
-        """One Subgroup per distinct cyclic subgroup, generator = least id.
-
-        Every generator x^j (gcd(j, ord x) = 1) of a subgroup found is
-        marked, so each cyclic subgroup is walked once, from its least id.
-        """
+        """One Subgroup per distinct cyclic subgroup, generator = least id,
+        ordered by (size, ids)."""
         if self._cyclic is None:
-            n, table, e = self.n, self.table, self.identity_id
-            marked = bytearray(n)
             found = []
-            for i in range(n):
-                if marked[i]:
-                    continue
-                powers = [e]
-                acc = i
-                while acc != e:
-                    powers.append(acc)
-                    acc = table[acc * n + i]
-                k = len(powers)
-                for j in range(k):
-                    if gcd(j, k) == 1:
-                        marked[powers[j]] = 1
+            for i, powers in self._walks:
                 ids = tuple(sorted(powers))
                 found.append(Subgroup(ids=ids, mask=_mask(ids), generators=(i,)))
-            self._cyclic = sorted(found, key=lambda s: (s.size, s.ids))
+            rank = sorted(range(len(found)), key=lambda w: (found[w].size, found[w].ids))
+            position = [0] * len(found)
+            for pos, w in enumerate(rank):
+                position[w] = pos
+            self._cyclic = [found[w] for w in rank]
+            # element -> position of the cyclic subgroup it generates
+            self._cyclic_of = [position[w] for w in self._walk_of]
+            self._walks = self._walk_of = None
         return self._cyclic
 
     def subgroups(self) -> list[Subgroup]:
-        """Every closure of a one- or two-element generating set, deduplicated.
+        """Every closure of a one- or two-element generating set, deduplicated,
+        ordered by (size, ids).
 
-        Reducing generators to one representative per cyclic subgroup loses
-        nothing: <g, h> depends only on (<g>, <h>).
+        <g, h> depends only on (<g>, <h>), and conjugating the pair
+        conjugates the closure, so only pairs (class representative <x>,
+        N(<x>)-orbit representative <y>) are closed, and each new closure
+        is added with its conjugacy class.  A non-cyclic proper subgroup
+        carries the first pair (i < j) of cyclic subgroups, in
+        cyclic_subgroups() order, that generates it.
         """
         if self._subgroups is None:
             found: dict[int, Subgroup] = {}
@@ -141,21 +164,113 @@ class FiniteGroup:
             cyclic = self.cyclic_subgroups()
             for sub in cyclic:
                 found.setdefault(sub.mask, sub)
-            for i, ci in enumerate(cyclic):
-                gi = ci.generators[0]
-                for cj in cyclic[i + 1 :]:
-                    if ci.mask & cj.mask in (ci.mask, cj.mask):
+            new: dict[int, tuple[int, ...]] = {}
+            conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
+            for cls in self._cyclic_orbits(conjugators):
+                cx = cyclic[cls[0]]
+                for orbit in self._cyclic_orbits(self._normalizer_conjugations(cls[0])):
+                    cy = cyclic[orbit[0]]
+                    if cx.mask & cy.mask in (cx.mask, cy.mask):
                         continue  # one cyclic inside the other: closure already known
-                    ids = self.closure_ids((gi, cj.generators[0]))
+                    ids = self.closure_ids(cx.generators + cy.generators)
                     if ids is None:
                         continue
                     mask = _mask(ids)
-                    if mask not in found:
-                        found[mask] = Subgroup(
-                            ids=ids, mask=mask, generators=(gi, cj.generators[0])
-                        )
+                    if mask not in found and mask not in new:
+                        new.update(self._conjugacy_class(ids, mask, conjugators))
+            for mask, ids in new.items():
+                found[mask] = Subgroup(ids, mask, self._first_generating_pair(ids))
             self._subgroups = sorted(found.values(), key=lambda s: (s.size, s.ids))
         return self._subgroups
+
+    # -- conjugation, used by the subgroup search
+
+    def _conjugation(self, g: int) -> list[int]:
+        """The map x -> g x g^-1 as a list over ids."""
+        n, table = self.n, self.table
+        row, g_inverse = g * n, self.inverses[g]
+        return [table[table[row + x] * n + g_inverse] for x in range(n)]
+
+    def _generating_set(self, ids) -> list[int]:
+        """Elements of the subgroup ``ids`` that generate it, picked greedily;
+        each one at least doubles the closure, so there are at most log2 |ids|."""
+        gens = []
+        reached = {self.identity_id}
+        for g in ids:
+            if g in reached:
+                continue
+            gens.append(g)
+            closure = self.closure_ids(gens)
+            if closure is None:  # the whole group
+                break
+            reached = set(closure)
+        return gens
+
+    def _cyclic_orbits(self, conjugators) -> list[list[int]]:
+        """Orbits of the cyclic subgroups, as positions in cyclic_subgroups(),
+        under the group the conjugation maps generate; each orbit starts
+        with its least position."""
+        cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
+        seen = bytearray(len(cyclic))
+        orbits = []
+        for start in range(len(cyclic)):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            orbit = [start]
+            k = 0
+            while k < len(orbit):
+                x = cyclic[orbit[k]].generators[0]
+                for conj in conjugators:
+                    c = cyclic_of[conj[x]]
+                    if not seen[c]:
+                        seen[c] = 1
+                        orbit.append(c)
+                k += 1
+            orbits.append(orbit)
+        return orbits
+
+    def _normalizer_conjugations(self, position: int) -> list[list[int]]:
+        """Conjugation maps of a generating set of N(<x>), <x> the cyclic
+        subgroup at this position of cyclic_subgroups()."""
+        x = self.cyclic_subgroups()[position].generators[0]
+        n, table, inverses, cyclic_of = self.n, self.table, self.inverses, self._cyclic_of
+        normalizer = [
+            g for g in range(n) if cyclic_of[table[table[g * n + x] * n + inverses[g]]] == position
+        ]
+        return [self._conjugation(g) for g in self._generating_set(normalizer)]
+
+    @staticmethod
+    def _conjugacy_class(ids, mask, conjugators) -> dict[int, tuple[int, ...]]:
+        """mask -> ids of every conjugate g H g^-1 of the subgroup H = ids."""
+        found = {mask: ids}
+        todo = [ids]
+        while todo:
+            sub = todo.pop()
+            for conj in conjugators:
+                image = tuple(sorted(conj[x] for x in sub))
+                mask = _mask(image)
+                if mask not in found:
+                    found[mask] = image
+                    todo.append(image)
+        return found
+
+    def _first_generating_pair(self, ids) -> tuple[int, int]:
+        """Generators of the first pair (i < j) of cyclic subgroups inside
+        the subgroup ``ids``, in cyclic_subgroups() order, that generates it:
+        the pair a search over all cyclic pairs in that order meets first."""
+        cyclic = self.cyclic_subgroups()
+        inside = sorted({self._cyclic_of[x] for x in ids})
+        for k, a in enumerate(inside):
+            ca = cyclic[a]
+            for b in inside[k + 1 :]:
+                cb = cyclic[b]
+                if ca.mask & cb.mask in (ca.mask, cb.mask):
+                    continue
+                pair = ca.generators + cb.generators
+                if len(self.closure_ids(pair)) == len(ids):
+                    return pair
+        raise RuntimeError(f"no two cyclic subgroups generate a subgroup of order {len(ids)}")
 
     # -- predicates
 

@@ -11,11 +11,12 @@ nonresidue.  Element orders asserted anywhere in this module are confirmed
 by powering these concrete matrices.
 
 The subgroup search (groups.FiniteGroup, on the PSL2 multiplication
-table) enumerates, for groups of order within a budget, the closures of
-all one- and two-element generating sets (reduced to one generator per
-cyclic subgroup, which produces exactly the same closure set) and answers
-questions about dihedral subgroups and quasi-p subgroups from that
-complete list.
+table) finds, for groups of order within a budget, every subgroup
+generated by at most two elements.  It closes one pair of cyclic subgroups
+per conjugacy class of such pairs and adds each closure's conjugates, which
+gives the same list as closing every pair, and the subgroup claims are
+answered from that complete list.  No budget admits a group above
+TABLE_ORDER_LIMIT elements, since the table has n^2 entries.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from math import gcd
 
 from .exactmath import FiniteField, is_prime, prime_factors, vp
 from .groups import FiniteGroup, Subgroup
+
+
+# The multiplication table has n^2 entries: 9M, about 72 MB as a list, at
+# this order, which PSL2(F_17) (2448 elements) fits under.
+TABLE_ORDER_LIMIT = 3000
 
 
 def _require_odd_prime(n: int, name: str):
@@ -328,6 +334,9 @@ class Psl2Atlas(FiniteGroup):
 
     def __init__(self, ell: int):
         _require_odd_prime(ell, "ell")
+        order = ell * (ell * ell - 1) // 2
+        if order > TABLE_ORDER_LIMIT:
+            raise ValueError(f"group order {order} exceeds the table size limit {TABLE_ORDER_LIMIT}")
         self.ell = ell
         self._build_elements()
         super().__init__(self.n, self._build_table(), self._index[(1, 0, 0, 1)])
@@ -464,17 +473,21 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
           is the whole group.
 
     Refuses (claims unchecked, not falsified) when the group order exceeds
-    the budget.
+    the budget or, whatever the budget, TABLE_ORDER_LIMIT.
     """
     gp = group_params(p, ell)
-    if gp.order > budget:
+    if gp.order > min(budget, TABLE_ORDER_LIMIT):
+        if budget <= TABLE_ORDER_LIMIT:
+            limit = f"budget {budget}"
+        else:
+            limit = f"the table size limit {TABLE_ORDER_LIMIT}"
         return SubgroupReport(
             p=p,
             ell=ell,
             group_order=gp.order,
             budget=budget,
             status="refused",
-            reason=f"group order {gp.order} exceeds budget {budget}; claims not checked",
+            reason=f"group order {gp.order} exceeds {limit}; claims not checked",
         )
     atlas = psl2_atlas(ell)
     subs = atlas.subgroups()

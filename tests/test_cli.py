@@ -159,6 +159,22 @@ def test_verify_group_refusal_and_budget(capsys):
     assert all(c["status"] == "pass" for c in payload["claims"])
 
 
+def test_verify_group_table_size_limit(capsys):
+    # the budget binds: today's reason
+    code, payload = run_json(capsys, "verify-group", "--p", "7", "--ell", "97")
+    assert payload["reason"] == "group order 456288 exceeds budget 2000; claims not checked"
+    # a budget above the limit cannot admit a 456288^2 table
+    code, payload = run_json(
+        capsys, "verify-group", "--p", "7", "--ell", "97", "--budget", "1000000"
+    )
+    assert code == 0
+    assert payload["status"] == "refused" and payload["budget"] == 1000000
+    assert payload["reason"] == (
+        "group order 456288 exceeds the table size limit 3000; claims not checked"
+    )
+    assert "claims" not in payload
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 2

@@ -1,10 +1,13 @@
 """The shared finite-group core on SmallGroup tables."""
 
 from itertools import product
+from math import gcd
 
 import pytest
 
 from wildram.exactmath import vp
+from wildram.groups import Subgroup
+from wildram.psl2 import psl2_atlas
 from wildram.tails import GROUP_SIZE_LIMIT, SmallGroup, generation_obstruction
 
 # every SmallGroup shape that checks.py and the tests build
@@ -41,6 +44,13 @@ def test_table_axioms(kind, args):
         assert g.orders[x] == k
 
 
+def test_cyclic_orders_and_inverses():
+    g = SmallGroup.cyclic(GROUP_SIZE_LIMIT)  # ids are the residues a mod n
+    n = g.n
+    assert g.orders == [n // gcd(a, n) for a in range(n)]
+    assert g.inverses == [-a % n for a in range(n)]
+
+
 def test_size_cap_refuses_the_table():
     assert GROUP_SIZE_LIMIT == 2000
     with pytest.raises(ValueError, match="exceeds the limit"):
@@ -65,6 +75,50 @@ def test_subgroup_search_on_small_groups(args, count):
     assert len(g.subgroups()) == count
     assert g.check_subgroups_closed()
     assert g.three_generator_stability()
+
+
+def _all_pairs_subgroups(g):
+    """The closure of every pair of cyclic subgroups, in cyclic_subgroups()
+    order; a new closure keeps the first pair that reached it."""
+    found = {}
+    whole = g.whole_group()
+    found[whole.mask] = whole
+    cyclic = g.cyclic_subgroups()
+    for sub in cyclic:
+        found.setdefault(sub.mask, sub)
+    for i, ci in enumerate(cyclic):
+        for cj in cyclic[i + 1 :]:
+            if ci.mask & cj.mask in (ci.mask, cj.mask):
+                continue
+            ids = g.closure_ids(ci.generators + cj.generators)
+            if ids is None:
+                continue
+            mask = sum(1 << x for x in ids)
+            if mask not in found:
+                found[mask] = Subgroup(ids, mask, ci.generators + cj.generators)
+    return sorted(found.values(), key=lambda s: (s.size, s.ids))
+
+
+def _assert_matches_all_pairs(g):
+    expected = [(s.mask, s.generators) for s in _all_pairs_subgroups(g)]
+    assert [(s.mask, s.generators) for s in g.subgroups()] == expected
+    assert g.check_subgroups_closed()
+
+
+@pytest.mark.parametrize("kind,args", SHAPES)
+def test_subgroups_match_all_pairs_on_small_groups(kind, args):
+    g = build(kind, args)
+    _assert_matches_all_pairs(g)
+    assert g.three_generator_stability()
+
+
+@pytest.mark.parametrize("ell,count", [(5, 59), (7, 179), (11, 620)])
+def test_subgroups_match_all_pairs_on_psl2(ell, count):
+    # three_generator_stability runs on PSL2(F_5) and PSL2(F_7) in
+    # test_psl2.py; on PSL2(F_11) it closes about 87k triples
+    atlas = psl2_atlas(ell)
+    _assert_matches_all_pairs(atlas)
+    assert len(atlas.subgroups()) == count
 
 
 def _brute_obstruction(p, r, m, vp_gen):

@@ -6,9 +6,11 @@ import pytest
 
 from wildram.exactmath import is_prime, vp
 from wildram.psl2 import (
+    TABLE_ORDER_LIMIT,
     ClassTriple,
     ConjClass,
     InertiaType,
+    Psl2Atlas,
     class_order,
     class_representative,
     group_params,
@@ -171,6 +173,19 @@ def test_atlas_psl2_13_sylow_counts():
     assert sizes[1092] == 1
 
 
+def test_subgroup_claims_3_17_above_the_default_budget():
+    assert verify_subgroup_claims(3, 17).status == "refused"  # 2448 > 2000
+    report = verify_subgroup_claims(3, 17, budget=2448)
+    assert report.status == "checked"
+    assert report.all_passed
+    atlas = psl2_atlas(17)
+    assert atlas.check_subgroups_closed()
+    sizes = Counter(s.size for s in atlas.subgroups())
+    assert sizes[17] == 18 and 18 % 17 == 1 and 2448 % 18 == 0
+    assert sizes[9] % 3 == 1 and 2448 // 9 % sizes[9] == 0
+    assert report.subgroup_count == len(atlas.subgroups())
+
+
 def test_subgroup_claims_7_13():
     report = verify_subgroup_claims(7, 13)
     assert report.status == "checked"
@@ -204,6 +219,20 @@ def test_subgroup_claims_budget_refusal():
     assert report.status == "refused"
     assert "456288" in report.reason
     assert not report.all_passed
+
+
+def test_table_order_limit_binds_whatever_the_budget():
+    assert TABLE_ORDER_LIMIT == 3000
+    misses = psl2_atlas.cache_info().misses
+    for p, ell in ((7, 97), (3, 19)):
+        report = verify_subgroup_claims(p, ell, budget=10**6)
+        assert report.status == "refused"
+        assert report.reason.endswith(
+            f"exceeds the table size limit {TABLE_ORDER_LIMIT}; claims not checked"
+        )
+    assert psl2_atlas.cache_info().misses == misses  # no atlas was built
+    with pytest.raises(ValueError, match="table size limit"):
+        Psl2Atlas(19)
 
 
 def test_report_serializes():
