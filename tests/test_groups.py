@@ -115,7 +115,7 @@ def test_subgroups_match_all_pairs_on_small_groups(kind, args):
 @pytest.mark.parametrize("ell,count", [(5, 59), (7, 179), (11, 620)])
 def test_subgroups_match_all_pairs_on_psl2(ell, count):
     # three_generator_stability runs on PSL2(F_5) and PSL2(F_7) in
-    # test_psl2.py; on PSL2(F_11) it closes about 87k triples
+    # test_psl2.py; on PSL2(F_11) it takes about 17 s
     atlas = psl2_atlas(ell)
     _assert_matches_all_pairs(atlas)
     assert len(atlas.subgroups()) == count
