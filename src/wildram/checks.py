@@ -501,7 +501,3 @@ def run_check(spec: CheckSpec, budget_subgroup: int = 2000) -> CheckResult:
         budget_seconds=spec.budget_seconds,
         detail=detail,
     )
-
-
-def run_all(budget_subgroup: int = 2000) -> list[CheckResult]:
-    return [run_check(spec, budget_subgroup=budget_subgroup) for spec in REGISTRY]

@@ -6,14 +6,11 @@ unbounded integer parts.  This module adds the pieces the rest of the
 package needs on top of that:
 
 * p-adic valuation of nonzero integers,
-* the quadratic extensions F_{p^2} of prime fields,
 * univariate polynomials over F_p as exact coefficient tuples,
 * Artin-Schreier reduction of such polynomials, i.e. rewriting modulo the
   image of w -> w^p - w until every positive term degree is prime to p.
 
-The quadratic extension is realized as F_p[s]/(s^2 - n) where n is the
-least quadratic nonresidue mod p; n is exposed so that derived data is
-reproducible.  All values are immutable and all functions are pure.
+All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -97,165 +94,6 @@ def least_nonresidue(p: int) -> int:
         if pow(n, (p - 1) // 2, p) == p - 1:
             return n
     raise RuntimeError(f"no nonresidue found mod {p}")  # unreachable for odd p
-
-
-class FiniteField:
-    """F_{p^2} = F_p(s) with s^2 = n, the degree-2 extension of F_p.
-
-    Elements are coordinate pairs a + b*s.  Two field objects compare equal
-    when they have the same characteristic, so the quadratic model is
-    canonical.
-    """
-
-    __slots__ = ("p", "nonresidue", "order")
-
-    def __init__(self, p: int, degree: int):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if degree != 2:
-            raise ValueError(f"only the quadratic extension (degree 2) is modelled, got {degree}")
-        if p == 2:
-            raise ValueError("the quadratic model s^2 = n needs odd p")
-        self.p = p
-        self.nonresidue = least_nonresidue(p)
-        self.order = p * p
-
-    def element(self, a: int, b: int = 0) -> "FieldElement":
-        return FieldElement(self, a % self.p, b % self.p)
-
-    __call__ = element
-
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    def elements(self):
-        """All field elements, (a, b) lexicographic with a as the major key."""
-        for a in range(self.p):
-            for b in range(self.p):
-                yield FieldElement(self, a, b)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def __repr__(self):
-        return f"F_{self.p}^2 (s^2 = {self.nonresidue})"
-
-
-class FieldElement:
-    """Immutable element a + b*s of a FiniteField."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field: FiniteField, a: int, b: int):
-        self.field = field
-        self.a = a
-        self.b = b
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.element(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(
-            self.field, (self.a + other.a) % self.field.p, (self.b + other.b) % self.field.p
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.a % self.field.p, -self.b % self.field.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.field.p
-        n = self.field.nonresidue
-        a = (self.a * other.a + n * self.b * other.b) % p
-        b = (self.a * other.b + self.b * other.a) % p
-        return FieldElement(self.field, a, b)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero field element")
-        p = self.field.p
-        # (a + bs)^-1 = (a - bs) / (a^2 - n b^2); the norm is nonzero.
-        n = self.field.nonresidue
-        norm = (self.a * self.a - n * self.b * self.b) % p
-        inv = pow(norm, p - 2, p)
-        return FieldElement(self.field, self.a * inv % p, -self.b * inv % p)
-
-    def __pow__(self, k: int) -> "FieldElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def frobenius(self) -> "FieldElement":
-        """x -> x^p.  On the quadratic model this is a + bs -> a - bs."""
-        return FieldElement(self.field, self.a, -self.b % self.field.p)
-
-    def multiplicative_order(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero has no multiplicative order")
-        n = self.field.order - 1
-        order = n
-        for q in prime_factors(n):
-            while order % q == 0 and (self ** (order // q)) == self.field.one():
-                order //= q
-        return order
-
-    def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*s"
-        return f"{self.a} + {self.b}*s"
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Group data for SL2(F_l) and PSL2(F_l) at an auxiliary odd prime p.
 
-Semisimple conjugacy classes of SL2(F_l) are keyed by (kind, index):
-``C(i)`` has eigenvalues zeta^(+-i) for zeta the smallest primitive root
-mod l (split kind), ``C~(i)`` has eigenvalues zt^(+-i) for zt the first
-element of F_{l^2} in (a, b) lexicographic order of multiplicative order
-exactly l + 1 (nonsplit kind).  Class representatives are the diagonal
-matrix diag(zeta^i, zeta^-i) and the matrix of multiplication by zt^i on
-F_{l^2} viewed as a plane over F_l with basis (1, s), s^2 the least
-nonresidue.  Element orders asserted anywhere in this module are confirmed
-by powering these concrete matrices.
+Everything here is a 2x2 matrix over F_l.  Semisimple conjugacy classes
+of SL2(F_l) are keyed by (kind, index): ``C(i)`` has eigenvalues
+zeta^(+-i) for zeta the smallest primitive root mod l (split kind),
+``C~(i)`` has eigenvalues zt^(+-i) for zt a generator of the norm-one
+torus of F_{l^2} (nonsplit kind).  F_{l^2} is the plane over F_l with
+basis (1, s), s^2 the least nonresidue n, and a + b*s acts on it by the
+matrix (a, n b, b, a); the torus generator is the first such matrix, (a, b)
+lexicographic, of determinant 1 and order exactly l + 1.  Class
+representatives are the diagonal matrix diag(zeta^i, zeta^-i) and the i-th
+power of the torus-generator matrix.  Element orders asserted anywhere in
+this module are confirmed by powering these concrete matrices.
 
 The subgroup search (groups.FiniteGroup, on the PSL2 multiplication
 table) finds, for groups of order within a budget, every subgroup
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .exactmath import FiniteField, is_prime, prime_factors, vp
+from .exactmath import is_prime, least_nonresidue, prime_factors, vp
 from .groups import FiniteGroup, Subgroup
 
 
@@ -172,19 +174,21 @@ def primitive_root(ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def norm_one_generator(ell: int):
-    """First element of F_{l^2}, (a, b) lexicographic, of order exactly l + 1."""
+def norm_one_generator(ell: int) -> Matrix:
+    """The first (a, n b, b, a), (a, b) lexicographic with b >= 1, of order l + 1.
+
+    This is multiplication by a + b*s on F_{l^2} = F_l(s), s^2 = n the least
+    nonresidue.  Its determinant is the norm a^2 - n b^2, which is 1 exactly
+    when the order divides l + 1, so only those matrices are powered.
+    """
     _require_odd_prime(ell, "ell")
-    field = FiniteField(ell, 2)
-    target = ell + 1
-    qs = prime_factors(target)
-    one = field.one()
+    n = least_nonresidue(ell)
     for a in range(ell):
         for b in range(1, ell):
-            z = field.element(a, b)
-            if z**target == one and all(z ** (target // q) != one for q in qs):
-                return z
-    raise RuntimeError(f"no element of order {target} in F_{ell}^2")  # unreachable
+            mat = (a, n * b % ell, b, a)
+            if _mat_det(mat, ell) == 1 and matrix_orders(ell, mat)[0] == ell + 1:
+                return mat
+    raise RuntimeError(f"no element of order {ell + 1} in F_{ell}^2")  # unreachable
 
 
 Matrix = tuple[int, int, int, int]  # row major 2x2
@@ -210,9 +214,10 @@ def class_representative(ell: int, cls: ConjClass) -> Matrix:
         z = pow(primitive_root(ell), cls.index, ell)
         rep = (z, 0, 0, pow(z, ell - 2, ell))
     else:
-        zt = norm_one_generator(ell) ** cls.index
-        n = zt.field.nonresidue
-        rep = (zt.a, n * zt.b % ell, zt.b, zt.a)
+        zt = norm_one_generator(ell)
+        rep = (1, 0, 0, 1)
+        for _ in range(cls.index):
+            rep = _mat_mul(rep, zt, ell)
     if _mat_det(rep, ell) != 1:
         raise RuntimeError(f"representative of {cls.label()} is not in SL2(F_{ell})")
     return rep
@@ -329,7 +334,9 @@ class Psl2Atlas(FiniteGroup):
     """PSL2(F_l) as element list plus full multiplication table.
 
     Elements are sign-canonical SL2 matrices: of the pair {M, -M} keep the
-    one whose first nonzero entry lies in 1..(l-1)/2.
+    lexicographically first, whose first nonzero entry lies in 1..(l-1)/2.
+    The index maps both M and -M to that element's id, so a product is
+    looked up as it comes.
     """
 
     def __init__(self, ell: int):
@@ -340,15 +347,6 @@ class Psl2Atlas(FiniteGroup):
         self.ell = ell
         self._build_elements()
         super().__init__(self.n, self._build_table(), self._index[(1, 0, 0, 1)])
-
-    def _canonical(self, m: Matrix) -> Matrix:
-        ell = self.ell
-        for x in m:
-            if x:
-                if x > ell // 2:
-                    return tuple((-y) % ell for y in m)
-                return m
-        raise ValueError("zero matrix")
 
     def _build_elements(self):
         ell = self.ell
@@ -368,10 +366,9 @@ class Psl2Atlas(FiniteGroup):
                     else:
                         continue
                     for m in mats:
-                        cm = self._canonical(m)
-                        if cm not in seen:
-                            seen[cm] = len(elements)
-                            elements.append(cm)
+                        if m not in seen:
+                            seen[m] = seen[tuple(-x % ell for x in m)] = len(elements)
+                            elements.append(m)
         self.elements = elements
         self.n = len(elements)
         expected = ell * (ell * ell - 1) // 2
@@ -383,7 +380,6 @@ class Psl2Atlas(FiniteGroup):
         ell, n = self.ell, self.n
         index = self._index
         elements = self.elements
-        half = ell // 2
         table = [0] * (n * n)
         for i, u in enumerate(elements):
             u0, u1, u2, u3 = u
@@ -393,16 +389,11 @@ class Psl2Atlas(FiniteGroup):
                 w1 = (u0 * v[1] + u1 * v[3]) % ell
                 w2 = (u2 * v[0] + u3 * v[2]) % ell
                 w3 = (u2 * v[1] + u3 * v[3]) % ell
-                if w0:
-                    if w0 > half:
-                        w0, w1, w2, w3 = -w0 % ell, -w1 % ell, -w2 % ell, -w3 % ell
-                elif w1 > half:
-                    w1, w2, w3 = -w1 % ell, -w2 % ell, -w3 % ell
                 table[base + j] = index[(w0, w1, w2, w3)]
         return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def psl2_atlas(ell: int) -> Psl2Atlas:
     return Psl2Atlas(ell)
 

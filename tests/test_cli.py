@@ -198,3 +198,17 @@ def test_check_all_with_small_budget_skips_subgroups(capsys):
     assert all("seconds" not in r for r in payload["results"])
     code2, out2, _ = run(capsys, "check-all", "--budget-subgroup", "500")
     assert out2 == out
+
+
+def test_verify_group_witness_matrices_are_stable(capsys):
+    # witnesses are sign-canonical matrices named by atlas ids, so these
+    # pin the atlas element order and the generator pairs of the search
+    code, payload = run_json(capsys, "verify-group", "--p", "7", "--ell", "13")
+    assert code == 0
+    witness = payload["claims"][0]["witness"]
+    assert witness == {"generators": [[0, 1, 12, 0], [1, 3, 8, 12]], "size": 14}
+    code, payload = run_json(capsys, "verify-group", "--p", "5", "--ell", "11")
+    assert code == 1
+    failed = [c for c in payload["claims"] if c["status"] == "fail"]
+    assert [c["claim"] for c in failed] == ["quasi-p-above-dihedral-is-whole"]
+    assert failed[0]["witness"] == {"generators": [[0, 1, 10, 0], [3, 2, 10, 7]], "size": 60}

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from wildram.exactmath import is_prime, vp
+from wildram.exactmath import is_prime, least_nonresidue, prime_factors, vp
 from wildram.psl2 import (
     TABLE_ORDER_LIMIT,
     ClassTriple,
@@ -77,10 +77,43 @@ def test_class_order_matrix_oracle_full_sweep():
 def test_deterministic_generators():
     assert primitive_root(97) == 5
     zt = norm_one_generator(97)
-    assert zt.multiplicative_order() == 98
-    # reproducible coordinates of the chosen generator, cross-checked by a
-    # fresh lexicographic search when this value was frozen
-    assert (zt.a, zt.b) == (4, 10)
+    # multiplication by 4 + 10 s on F_97(s), s^2 = 5, in the basis (1, s)
+    assert zt == (4, 50, 10, 4)
+    assert matrix_orders(97, zt)[0] == 98
+
+
+def _first_torus_generator(ell):
+    """First (a, b), lexicographic with b >= 1, of order ell + 1 in F_ell(s)."""
+    n = least_nonresidue(ell)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + n * x[1] * y[1]) % ell, (x[0] * y[1] + x[1] * y[0]) % ell)
+
+    def power(x, k):
+        result = (1, 0)
+        while k:
+            if k & 1:
+                result = mul(result, x)
+            x = mul(x, x)
+            k >>= 1
+        return result
+
+    target = ell + 1
+    for a in range(ell):
+        for b in range(1, ell):
+            z = (a, b)
+            if power(z, target) == (1, 0) and all(
+                power(z, target // q) != (1, 0) for q in prime_factors(target)
+            ):
+                return z
+
+
+@pytest.mark.parametrize("ell", [ell for ell in range(3, 102) if is_prime(ell)])
+def test_norm_one_generator_matches_pair_oracle(ell):
+    a, b = _first_torus_generator(ell)
+    zt = norm_one_generator(ell)
+    assert zt == (a, least_nonresidue(ell) * b % ell, b, a)
+    assert matrix_orders(ell, zt)[0] == ell + 1
 
 
 def test_select_triple_97():
@@ -200,6 +233,9 @@ def test_subgroup_claims_7_13():
 def test_subgroup_claims_3_5():
     report = verify_subgroup_claims(3, 5)
     assert report.all_passed
+    # a second ell replaces the cached atlas instead of adding to it
+    assert verify_subgroup_claims(3, 7).all_passed
+    assert psl2_atlas.cache_info().currsize == 1
 
 
 def test_subgroup_claims_5_11_exhibits_small_p_failure():
