@@ -16,7 +16,7 @@ from math import gcd
 
 from .exactmath import FpPolynomial
 from .psl2 import InertiaType, group_params, inertia_candidates, matrix_orders
-from .psl2 import class_representative, select_triple, verify_subgroup_claims
+from .psl2 import class_representative, psl2_atlas, select_triple, verify_subgroup_claims
 from .ramification import (
     JumpSequence,
     base_sigma,
@@ -366,6 +366,10 @@ def check_subgroup_claims(budget: int = 2000) -> dict:
         "subgroup claims failed: "
         + "; ".join(f"{c.claim_id}={c.status}" for c in report.claims),
     )
+    # the claims read the subgroup list, so certify that list too
+    atlas = psl2_atlas(report.ell)
+    _expect(atlas.check_subgroups_closed(), "a listed subgroup is not closed under product")
+    _expect(atlas.three_generator_stability(), "the subgroup list misses a subgroup")
     return {"subgroups": report.subgroup_count, "claims": [c.to_dict() for c in report.claims]}
 
 

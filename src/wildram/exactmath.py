@@ -147,12 +147,6 @@ class FpPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading_coefficient(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def terms(self):
         """Yield (degree, coefficient) pairs, ascending, nonzero only."""
         for d, c in enumerate(self.coeffs):
@@ -187,18 +181,6 @@ class FpPolynomial:
                     if b:
                         out[i + j] = (out[i + j] + a * b) % self.p
         return FpPolynomial(self.p, tuple(out))
-
-    def __pow__(self, k: int) -> "FpPolynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = FpPolynomial.monomial(self.p, 1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def scale(self, c: int) -> "FpPolynomial":
         return FpPolynomial(self.p, tuple(x * c % self.p for x in self.coeffs))

@@ -15,6 +15,11 @@ representative per conjugacy class of cyclic subgroups and <y> one
 representative per orbit of the normalizer N(<x>) on the cyclic subgroups.
 Only those pairs are closed; each new closure brings its whole conjugacy
 class.
+
+The search and its completeness certificate share one extension step: for
+a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
+the steps from the cyclic class representatives; the certificate takes one
+from every class of listed subgroups and finds nothing new.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ class FiniteGroup:
         self.n = n
         self.table = table
         self.identity_id = identity_id
+        self._whole_ids = tuple(range(n))
         self._walk_cyclic_subgroups()
         self._cyclic = None
         self._subgroups = None
@@ -91,12 +97,12 @@ class FiniteGroup:
 
     # -- closures
 
-    def closure_ids(self, gens) -> tuple[int, ...] | None:
-        """Sorted ids of <gens>; None means the closure is the whole group.
+    def closure_ids(self, gens) -> tuple[int, ...]:
+        """Sorted ids of <gens>.
 
         Once more than half the elements are reached the subgroup must be
-        everything (its order divides the group order), so the search can
-        stop early.
+        everything (its order divides the group order), so the search stops
+        early and returns the whole group.
         """
         n, table = self.n, self.table
         gens = sorted(set(gens))
@@ -117,16 +123,15 @@ class FiniteGroup:
                         nxt.append(y)
             members += nxt
             if len(members) > half:
-                return None
+                return self._whole_ids
             frontier = nxt
         return tuple(sorted(members))
 
     def generates(self, gens) -> bool:
-        return self.closure_ids(gens) is None
+        return len(self.closure_ids(gens)) == self.n
 
     def whole_group(self) -> Subgroup:
-        ids = tuple(range(self.n))
-        return Subgroup(ids=ids, mask=(1 << self.n) - 1, generators=())
+        return Subgroup(ids=self._whole_ids, mask=(1 << self.n) - 1, generators=())
 
     def cyclic_subgroups(self) -> list[Subgroup]:
         """One Subgroup per distinct cyclic subgroup, generator = least id,
@@ -167,14 +172,9 @@ class FiniteGroup:
             new: dict[int, tuple[int, ...]] = {}
             conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
             for cls in self._cyclic_orbits(conjugators):
-                cx = cyclic[cls[0]]
-                for orbit in self._cyclic_orbits(self._normalizer_conjugations(cls[0])):
-                    cy = cyclic[orbit[0]]
-                    if cx.mask & cy.mask in (cx.mask, cy.mask):
-                        continue  # one cyclic inside the other: closure already known
-                    ids = self.closure_ids(cx.generators + cy.generators)
-                    if ids is None:
-                        continue
+                for ids in self._extensions(cyclic[cls[0]]):
+                    if len(ids) == self.n:
+                        continue  # the whole group, found already
                     mask = _mask(ids)
                     if mask not in found and mask not in new:
                         new.update(self._conjugacy_class(ids, mask, conjugators))
@@ -200,10 +200,7 @@ class FiniteGroup:
             if g in reached:
                 continue
             gens.append(g)
-            closure = self.closure_ids(gens)
-            if closure is None:  # the whole group
-                break
-            reached = set(closure)
+            reached = set(self.closure_ids(gens))
         return gens
 
     def _cyclic_orbits(self, conjugators) -> list[list[int]]:
@@ -230,15 +227,23 @@ class FiniteGroup:
             orbits.append(orbit)
         return orbits
 
-    def _normalizer_conjugations(self, position: int) -> list[list[int]]:
-        """Conjugation maps of a generating set of N(<x>), <x> the cyclic
-        subgroup at this position of cyclic_subgroups()."""
-        x = self.cyclic_subgroups()[position].generators[0]
-        n, table, inverses, cyclic_of = self.n, self.table, self.inverses, self._cyclic_of
-        normalizer = [
-            g for g in range(n) if cyclic_of[table[table[g * n + x] * n + inverses[g]]] == position
-        ]
-        return [self._conjugation(g) for g in self._generating_set(normalizer)]
+    def _extensions(self, sub: Subgroup):
+        """Yield <H, y>, H = sub, for one cyclic <y> per N(H)-orbit, skipping
+        any <y> nested with H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H),
+        these stand for every <H, y'> up to conjugacy."""
+        n, table, inverses = self.n, self.table, self.inverses
+        inside = bytearray(n)
+        for x in sub.ids:
+            inside[x] = 1
+        normalizer = range(n)
+        for h in sub.generators:  # g normalizes H iff g h g^-1 is in H for each generator h
+            normalizer = [g for g in normalizer if inside[table[table[g * n + h] * n + inverses[g]]]]
+        conjugators = [self._conjugation(g) for g in self._generating_set(normalizer)]
+        cyclic = self.cyclic_subgroups()
+        for orbit in self._cyclic_orbits(conjugators):
+            cy = cyclic[orbit[0]]
+            if sub.mask & cy.mask not in (sub.mask, cy.mask):
+                yield self.closure_ids(sub.generators + cy.generators)
 
     @staticmethod
     def _conjugacy_class(ids, mask, conjugators) -> dict[int, tuple[int, ...]]:
@@ -295,13 +300,7 @@ class FiniteGroup:
 
     def is_quasi_p(self, sub: Subgroup, p: int) -> bool:
         """Whether the subgroup is generated by its elements of p-power order."""
-        p_ids = self.p_element_ids(sub, p)
-        if not p_ids:
-            return sub.size == 1
-        ids = self.closure_ids(p_ids)
-        if ids is None:
-            return sub.size == self.n
-        return ids == sub.ids
+        return self.closure_ids(self.p_element_ids(sub, p)) == sub.ids
 
     def semidirect_p_form(self, sub: Subgroup, p: int) -> bool:
         """Whether the subgroup is Z/p x| Z/m with p not dividing m.
@@ -316,8 +315,7 @@ class FiniteGroup:
         p_ids = self.p_element_ids(sub, p)
         if len(p_ids) != p - 1:
             return False
-        p_closure = self.closure_ids(p_ids)
-        if p_closure is None or len(p_closure) != p:
+        if len(self.closure_ids(p_ids)) != p:
             return False
         if m == 1:
             return True
@@ -328,19 +326,28 @@ class FiniteGroup:
     # -- completeness certificates of the subgroup search
 
     def three_generator_stability(self) -> bool:
-        """No closure of (2-generated subgroup + one more cyclic) is new."""
+        """Whether the subgroup list is complete: it holds every cyclic
+        subgroup and every conjugate of each listed subgroup, and no listed
+        H has an extension <H, y> outside it.
+
+        Closed under conjugation, the list needs the extensions of one H per
+        conjugacy class only, since <gHg^-1, C> = g<H, g^-1 C g>g^-1.
+        """
         subs = self.subgroups()
-        masks = {s.mask for s in subs}
+        listed = {s.ids for s in subs}
+        if any(c.ids not in listed for c in self.cyclic_subgroups()):
+            return False
+        conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
+        seen: set[int] = set()
         for sub in subs:
-            if not sub.generators:  # whole group
+            if sub.mask in seen:
                 continue
-            for cyc in self.cyclic_subgroups():
-                if cyc.mask & sub.mask == cyc.mask:
-                    continue
-                ids = self.closure_ids(sub.generators + (cyc.generators[0],))
-                mask = (1 << self.n) - 1 if ids is None else _mask(ids)
-                if mask not in masks:
-                    return False
+            conjugates = self._conjugacy_class(sub.ids, sub.mask, conjugators)
+            if any(ids not in listed for ids in conjugates.values()):
+                return False
+            seen.update(conjugates)
+            if any(ids not in listed for ids in self._extensions(sub)):
+                return False
         return True
 
     def check_subgroups_closed(self) -> bool:

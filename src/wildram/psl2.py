@@ -105,10 +105,6 @@ class InertiaType:
     def group_order(self) -> int:
         return self.m * self.p**self.r
 
-    @property
-    def is_abelian(self) -> bool:
-        return self.m_I == 1
-
     def label(self) -> str:
         q = self.p**self.r
         if self.m == 1:

@@ -7,7 +7,7 @@ import pytest
 
 from wildram.exactmath import vp
 from wildram.groups import Subgroup
-from wildram.psl2 import psl2_atlas
+from wildram.psl2 import Psl2Atlas, psl2_atlas
 from wildram.tails import GROUP_SIZE_LIMIT, SmallGroup, generation_obstruction
 
 # every SmallGroup shape that checks.py and the tests build
@@ -91,12 +91,25 @@ def _all_pairs_subgroups(g):
             if ci.mask & cj.mask in (ci.mask, cj.mask):
                 continue
             ids = g.closure_ids(ci.generators + cj.generators)
-            if ids is None:
+            if len(ids) == g.n:
                 continue
             mask = sum(1 << x for x in ids)
             if mask not in found:
                 found[mask] = Subgroup(ids, mask, ci.generators + cj.generators)
     return sorted(found.values(), key=lambda s: (s.size, s.ids))
+
+
+def _all_pairs_stability(g):
+    """The unreduced certificate: closing any listed subgroup with any
+    cyclic subgroup not inside it gives a listed subgroup."""
+    listed = {s.ids for s in g.subgroups()}
+    for sub in g.subgroups():
+        for cyc in g.cyclic_subgroups():
+            if cyc.mask & sub.mask == cyc.mask:
+                continue
+            if g.closure_ids(sub.generators + cyc.generators) not in listed:
+                return False
+    return True
 
 
 def _assert_matches_all_pairs(g):
@@ -110,15 +123,42 @@ def test_subgroups_match_all_pairs_on_small_groups(kind, args):
     g = build(kind, args)
     _assert_matches_all_pairs(g)
     assert g.three_generator_stability()
+    assert _all_pairs_stability(g)
 
 
 @pytest.mark.parametrize("ell,count", [(5, 59), (7, 179), (11, 620)])
 def test_subgroups_match_all_pairs_on_psl2(ell, count):
-    # three_generator_stability runs on PSL2(F_5) and PSL2(F_7) in
-    # test_psl2.py; on PSL2(F_11) it takes about 17 s
     atlas = psl2_atlas(ell)
     _assert_matches_all_pairs(atlas)
     assert len(atlas.subgroups()) == count
+    assert atlas.three_generator_stability()
+    if ell < 11:  # the unreduced certificate closes 147357 pairs on PSL2(F_11)
+        assert _all_pairs_stability(atlas)
+
+
+def _conjugates(g, sub):
+    n, t, inv = g.n, g.table, g.inverses
+    return {tuple(sorted(t[t[a * n + x] * n + inv[a]] for x in sub.ids)) for a in range(n)}
+
+
+@pytest.mark.parametrize("size", [7, 24])
+def test_certificates_fail_on_a_list_with_subgroups_dropped(size):
+    g = Psl2Atlas(7)  # a private atlas: the list is edited below
+    full = g.subgroups()
+    sub = next(s for s in full if s.size == size)
+    conjugates = _conjugates(g, sub)
+    assert len(conjugates) > 1
+    for dropped in (conjugates, {sub.ids}):
+        g._subgroups = [s for s in full if s.ids not in dropped]
+        assert not g.three_generator_stability()
+        assert not _all_pairs_stability(g)
+
+
+def test_semidirect_p_form_on_a_group_of_order_p():
+    # Z/7 x| Z/1: the p-elements generate the whole group
+    g = SmallGroup.semidirect(7, 1, 1)
+    assert g.semidirect_p_form(g.whole_group(), 7)
+    assert g.is_quasi_p(g.whole_group(), 7)
 
 
 def _brute_obstruction(p, r, m, vp_gen):
