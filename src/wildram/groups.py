@@ -1,11 +1,11 @@
-"""Finite groups on element ids 0..n-1 with a flat multiplication table.
+"""Finite groups on element ids 0..n-1, multiplied on demand.
 
-``table[a * n + b]`` is the id of the product ab; any indexable sequence of
-ints serves (psl2 builds a list, tails a compact array).  Subclasses build
-the table from a concrete model (2x2 matrices, residue pairs) and this
-class owns everything computed from it: element orders and inverses, closures,
-cyclic subgroups, the subgroups generated by at most two elements, and the
-structural predicates the subgroup and generation checks ask about.
+``mul(a, b)`` is the id of the product ab.  Subclasses implement it on a
+concrete model (2x2 matrices, residue pairs) and this class owns everything
+computed from it: element orders and inverses, closures, cyclic subgroups,
+the subgroups generated by at most two elements, and the structural
+predicates the subgroup and generation checks ask about.  No product is
+stored, so memory grows with n and with the subgroup list, never with n^2.
 
 The subgroup search works up to conjugacy, after the conjugacy-class
 lattice method (Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -49,16 +49,19 @@ def _mask(ids) -> int:
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group on ids 0..n-1; subclasses define the product ``mul``."""
 
-    def __init__(self, n: int, table, identity_id: int):
+    def __init__(self, n: int, identity_id: int):
         self.n = n
-        self.table = table
         self.identity_id = identity_id
         self._whole_ids = tuple(range(n))
         self._walk_cyclic_subgroups()
         self._cyclic = None
         self._subgroups = None
+
+    def mul(self, a: int, b: int) -> int:
+        """The id of the product ab."""
+        raise NotImplementedError
 
     def _walk_cyclic_subgroups(self):
         """Orders and inverses from one walk x, x^2, ..., x^k = 1 per cyclic subgroup.
@@ -69,7 +72,7 @@ class FiniteGroup:
         subgroup is walked once; every element generates exactly one cyclic
         subgroup, so every element is reached.
         """
-        n, table, e = self.n, self.table, self.identity_id
+        n, mul, e = self.n, self.mul, self.identity_id
         orders = [0] * n
         inverses = [0] * n
         walk_of = [0] * n
@@ -81,7 +84,7 @@ class FiniteGroup:
             acc = i
             while acc != e:
                 powers.append(acc)
-                acc = table[acc * n + i]
+                acc = mul(acc, i)
             k = len(powers)
             for j in range(k):
                 if gcd(j, k) == 1:
@@ -104,7 +107,7 @@ class FiniteGroup:
         everything (its order divides the group order), so the search stops
         early and returns the whole group.
         """
-        n, table = self.n, self.table
+        n, mul = self.n, self.mul
         gens = sorted(set(gens))
         seen = bytearray(n)
         e = self.identity_id
@@ -115,9 +118,8 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for x in frontier:
-                base = x * n
                 for g in gens:
-                    y = table[base + g]
+                    y = mul(x, g)
                     if not seen[y]:
                         seen[y] = 1
                         nxt.append(y)
@@ -187,9 +189,8 @@ class FiniteGroup:
 
     def _conjugation(self, g: int) -> list[int]:
         """The map x -> g x g^-1 as a list over ids."""
-        n, table = self.n, self.table
-        row, g_inverse = g * n, self.inverses[g]
-        return [table[table[row + x] * n + g_inverse] for x in range(n)]
+        mul, g_inverse = self.mul, self.inverses[g]
+        return [mul(mul(g, x), g_inverse) for x in range(self.n)]
 
     def _generating_set(self, ids) -> list[int]:
         """Elements of the subgroup ``ids`` that generate it, picked greedily;
@@ -231,13 +232,13 @@ class FiniteGroup:
         """Yield <H, y>, H = sub, for one cyclic <y> per N(H)-orbit, skipping
         any <y> nested with H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H),
         these stand for every <H, y'> up to conjugacy."""
-        n, table, inverses = self.n, self.table, self.inverses
+        n, mul, inverses = self.n, self.mul, self.inverses
         inside = bytearray(n)
         for x in sub.ids:
             inside[x] = 1
         normalizer = range(n)
         for h in sub.generators:  # g normalizes H iff g h g^-1 is in H for each generator h
-            normalizer = [g for g in normalizer if inside[table[table[g * n + h] * n + inverses[g]]]]
+            normalizer = [g for g in normalizer if inside[mul(mul(g, h), inverses[g])]]
         conjugators = [self._conjugation(g) for g in self._generating_set(normalizer)]
         cyclic = self.cyclic_subgroups()
         for orbit in self._cyclic_orbits(conjugators):
@@ -280,13 +281,12 @@ class FiniteGroup:
     # -- predicates
 
     def is_abelian_subgroup(self, sub: Subgroup) -> bool:
-        n, table = self.n, self.table
-        ids = sub.ids
+        mul, ids = self.mul, sub.ids
         for a in ids:
             for b in ids:
                 if b >= a:
                     break
-                if table[a * n + b] != table[b * n + a]:
+                if mul(a, b) != mul(b, a):
                     return False
         return True
 
@@ -351,15 +351,12 @@ class FiniteGroup:
         return True
 
     def check_subgroups_closed(self) -> bool:
-        """Every discovered subgroup is closed under product and inverse."""
-        n, table = self.n, self.table
-        for sub in self.subgroups():
-            members = set(sub.ids)
-            for a in sub.ids:
-                if self.inverses[a] not in members:
-                    return False
-                base = a * n
-                for b in sub.ids:
-                    if table[base + b] not in members:
-                        return False
-        return True
+        """Every listed subgroup is the closure of its stored generators, so
+        it is a subgroup and those generators generate it (the normalizer
+        test of the extension step relies on the latter).  The whole group
+        has no generators and is all of 0..n-1 by construction."""
+        whole = self._whole_ids
+        return all(
+            sub.ids == whole or self.closure_ids(sub.generators) == sub.ids
+            for sub in self.subgroups()
+        )

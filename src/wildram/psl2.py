@@ -12,13 +12,13 @@ representatives are the diagonal matrix diag(zeta^i, zeta^-i) and the i-th
 power of the torus-generator matrix.  Element orders asserted anywhere in
 this module are confirmed by powering these concrete matrices.
 
-The subgroup search (groups.FiniteGroup, on the PSL2 multiplication
-table) finds, for groups of order within a budget, every subgroup
-generated by at most two elements.  It closes one pair of cyclic subgroups
-per conjugacy class of such pairs and adds each closure's conjugates, which
-gives the same list as closing every pair, and the subgroup claims are
-answered from that complete list.  No budget admits a group above
-TABLE_ORDER_LIMIT elements, since the table has n^2 entries.
+The subgroup search (groups.FiniteGroup, multiplying PSL2 matrices as it
+needs the products) finds, for groups of order within a budget, every
+subgroup generated by at most two elements.  It closes one pair of cyclic
+subgroups per conjugacy class of such pairs and adds each closure's
+conjugates, which gives the same list as closing every pair, and the
+subgroup claims are answered from that complete list.  No budget admits a
+group above ORDER_LIMIT elements.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .exactmath import is_prime, least_nonresidue, prime_factors, vp
 from .groups import FiniteGroup, Subgroup
 
 
-# The multiplication table has n^2 entries: 9M, about 72 MB as a list, at
-# this order, which PSL2(F_17) (2448 elements) fits under.
-TABLE_ORDER_LIMIT = 3000
+# The order of PSL2(F_29).  The subgroup search holds one n-bit mask per
+# listed subgroup: at this order 10040 masks of up to 12180 bits, 14 MB.
+ORDER_LIMIT = 12180
 
 
 def _require_odd_prime(n: int, name: str):
@@ -327,7 +327,7 @@ def select_triple(p: int, ell: int) -> ClassTriple:
 
 
 class Psl2Atlas(FiniteGroup):
-    """PSL2(F_l) as element list plus full multiplication table.
+    """PSL2(F_l) as a list of matrices, multiplied mod l on demand.
 
     Elements are sign-canonical SL2 matrices: of the pair {M, -M} keep the
     lexicographically first, whose first nonzero entry lies in 1..(l-1)/2.
@@ -338,11 +338,14 @@ class Psl2Atlas(FiniteGroup):
     def __init__(self, ell: int):
         _require_odd_prime(ell, "ell")
         order = ell * (ell * ell - 1) // 2
-        if order > TABLE_ORDER_LIMIT:
-            raise ValueError(f"group order {order} exceeds the table size limit {TABLE_ORDER_LIMIT}")
+        if order > ORDER_LIMIT:
+            raise ValueError(f"group order {order} exceeds the order limit {ORDER_LIMIT}")
         self.ell = ell
         self._build_elements()
-        super().__init__(self.n, self._build_table(), self._index[(1, 0, 0, 1)])
+        super().__init__(self.n, self._index[(1, 0, 0, 1)])
+
+    def mul(self, a: int, b: int) -> int:
+        return self._index[_mat_mul(self.elements[a], self.elements[b], self.ell)]
 
     def _build_elements(self):
         ell = self.ell
@@ -371,22 +374,6 @@ class Psl2Atlas(FiniteGroup):
         if self.n != expected:
             raise RuntimeError(f"PSL2(F_{ell}) enumeration found {self.n}, expected {expected}")
         self._index = seen
-
-    def _build_table(self) -> list[int]:
-        ell, n = self.ell, self.n
-        index = self._index
-        elements = self.elements
-        table = [0] * (n * n)
-        for i, u in enumerate(elements):
-            u0, u1, u2, u3 = u
-            base = i * n
-            for j, v in enumerate(elements):
-                w0 = (u0 * v[0] + u1 * v[2]) % ell
-                w1 = (u0 * v[1] + u1 * v[3]) % ell
-                w2 = (u2 * v[0] + u3 * v[2]) % ell
-                w3 = (u2 * v[1] + u3 * v[3]) % ell
-                table[base + j] = index[(w0, w1, w2, w3)]
-        return table
 
 
 @lru_cache(maxsize=1)
@@ -460,14 +447,14 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
           is the whole group.
 
     Refuses (claims unchecked, not falsified) when the group order exceeds
-    the budget or, whatever the budget, TABLE_ORDER_LIMIT.
+    the budget or, whatever the budget, ORDER_LIMIT.
     """
     gp = group_params(p, ell)
-    if gp.order > min(budget, TABLE_ORDER_LIMIT):
-        if budget <= TABLE_ORDER_LIMIT:
+    if gp.order > min(budget, ORDER_LIMIT):
+        if budget <= ORDER_LIMIT:
             limit = f"budget {budget}"
         else:
-            limit = f"the table size limit {TABLE_ORDER_LIMIT}"
+            limit = f"the order limit {ORDER_LIMIT}"
         return SubgroupReport(
             p=p,
             ell=ell,

@@ -22,7 +22,6 @@ closure.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -180,24 +179,16 @@ class SmallGroup(FiniteGroup):
         if n > GROUP_SIZE_LIMIT:
             raise ValueError(f"group order {n} exceeds the limit {GROUP_SIZE_LIMIT}")
         self.action_unit = unit
-        # Row (a1, b1), block b2, holds (a1 + w a2) + q (b1 + b2) with w = u^b1.
-        # It is the row of (0, b1) rotated by a2 -> a2 + a1/w, so every row
-        # is sliced from one scaled block per offset b1 + b2.  Ids are
-        # below GROUP_SIZE_LIMIT < 2^16, which an unsigned short holds.
-        table = array("H")
-        w = 1
-        for b1 in range(m):
-            scaled = [w * a2 % q for a2 in range(q)]
-            blocks = [array("H", [s + q * c for s in scaled]) for c in range(m)]
-            w_inverse = pow(w, -1, q)
-            for a1 in range(q):
-                t = w_inverse * a1 % q
-                for b2 in range(m):
-                    block = blocks[(b1 + b2) % m]
-                    table += block[t:]
-                    table += block[:t]
-            w = w * unit % q
-        super().__init__(n, table, 0)
+        self._q, self._m = q, m
+        # (a, u^b, b) for id a + q*b
+        self._parts = [(a, pow(unit, b, q), b) for b in range(m) for a in range(q)]
+        super().__init__(n, 0)
+
+    def mul(self, x: int, y: int) -> int:
+        a1, w1, b1 = self._parts[x]
+        a2, _, b2 = self._parts[y]
+        q = self._q
+        return (a1 + w1 * a2) % q + q * ((b1 + b2) % self._m)
 
     @classmethod
     def cyclic(cls, n: int) -> "SmallGroup":
@@ -279,7 +270,7 @@ def branch_cycle_feasible(group: SmallGroup, branch_orders) -> bool:
     orders = list(branch_orders)
     if not orders:
         raise ValueError("need at least one branch order")
-    n, table, element_orders = group.n, group.table, group.orders
+    n, mul, element_orders = group.n, group.mul, group.orders
     buckets = []
     for o in orders:
         bucket = [x for x in range(n) if element_orders[x] == o]
@@ -295,7 +286,7 @@ def branch_cycle_feasible(group: SmallGroup, branch_orders) -> bool:
     for head in product(*buckets[:-1]):
         acc = group.identity_id
         for g in head:
-            acc = table[acc * n + g]
+            acc = mul(acc, g)
         tail = group.inverses[acc]
         if element_orders[tail] != last_order:
             continue

@@ -163,14 +163,14 @@ def test_verify_group_table_size_limit(capsys):
     # the budget binds: today's reason
     code, payload = run_json(capsys, "verify-group", "--p", "7", "--ell", "97")
     assert payload["reason"] == "group order 456288 exceeds budget 2000; claims not checked"
-    # a budget above the limit cannot admit a 456288^2 table
+    # a budget above the order limit cannot admit the group
     code, payload = run_json(
         capsys, "verify-group", "--p", "7", "--ell", "97", "--budget", "1000000"
     )
     assert code == 0
     assert payload["status"] == "refused" and payload["budget"] == 1000000
     assert payload["reason"] == (
-        "group order 456288 exceeds the table size limit 3000; claims not checked"
+        "group order 456288 exceeds the order limit 12180; claims not checked"
     )
     assert "claims" not in payload
 

@@ -1,5 +1,6 @@
-"""The shared finite-group core on SmallGroup tables."""
+"""The shared finite-group core on SmallGroup and PSL2(F_ell)."""
 
+from dataclasses import replace
 from itertools import product
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 
 from wildram.exactmath import vp
 from wildram.groups import Subgroup
-from wildram.psl2 import Psl2Atlas, psl2_atlas
+from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
 from wildram.tails import GROUP_SIZE_LIMIT, SmallGroup, generation_obstruction
 
 # every SmallGroup shape that checks.py and the tests build
@@ -29,19 +30,41 @@ def build(kind, args):
     return getattr(SmallGroup, kind)(*args)
 
 
+def _assert_group_axioms(g):
+    """Identity, each row of the Cayley table a permutation, inverses and
+    element orders, all read through ``mul``."""
+    n, mul, e = g.n, g.mul, g.identity_id
+    for x in range(n):
+        assert mul(e, x) == x and mul(x, e) == x
+        assert sorted(mul(x, y) for y in range(n)) == list(range(n))
+        assert mul(x, g.inverses[x]) == e and mul(g.inverses[x], x) == e
+        acc, k = x, 1
+        while acc != e:
+            acc, k = mul(acc, x), k + 1
+        assert g.orders[x] == k
+
+
 @pytest.mark.parametrize("kind,args", SHAPES)
 def test_table_axioms(kind, args):
     g = build(kind, args)
-    n, t, e = g.n, g.table, g.identity_id
-    assert len(t) == n * n
-    for x in range(n):
-        assert t[e * n + x] == x and t[x * n + e] == x
-        assert sorted(t[x * n : (x + 1) * n]) == list(range(n))
-        assert t[x * n + g.inverses[x]] == e and t[g.inverses[x] * n + x] == e
-        acc, k = x, 1
-        while acc != e:
-            acc, k = t[acc * n + x], k + 1
-        assert g.orders[x] == k
+    _assert_group_axioms(g)
+    # the product against residue-pair arithmetic on ids a + q*b
+    q, m = (args[0], 1) if kind == "cyclic" else (args[0] ** args[1], args[2])
+    u = g.action_unit
+    assert q * m == g.n
+    for x, y in product(range(g.n), repeat=2):
+        (b1, a1), (b2, a2) = divmod(x, q), divmod(y, q)
+        assert g.mul(x, y) == (a1 + pow(u, b1, q) * a2) % q + q * ((b1 + b2) % m)
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_psl2_axioms_and_matrix_products(ell):
+    g = psl2_atlas(ell)
+    _assert_group_axioms(g)
+    elements = g.elements
+    for a, b in product(range(g.n), repeat=2):
+        w = _mat_mul(elements[a], elements[b], ell)
+        assert elements[g.mul(a, b)] in (w, tuple(-x % ell for x in w))
 
 
 def test_cyclic_orders_and_inverses():
@@ -79,7 +102,23 @@ def test_subgroup_search_on_small_groups(args, count):
 
 def _all_pairs_subgroups(g):
     """The closure of every pair of cyclic subgroups, in cyclic_subgroups()
-    order; a new closure keeps the first pair that reached it."""
+    order; a new closure keeps the first pair that reached it.  Closures
+    are taken here, on the columns x -> xs of the generators s, not by
+    ``closure_ids``."""
+    n, e, whole_ids = g.n, g.identity_id, tuple(range(g.n))
+    columns = {}
+
+    def closure(gens):  # stops once past n/2, where Lagrange forces the whole group
+        for s in gens:
+            if s not in columns:
+                columns[s] = [g.mul(x, s) for x in range(n)]
+        cols = [columns[s] for s in gens]
+        members, frontier = {e}, [e]
+        while frontier and 2 * len(members) <= n:
+            frontier = {col[x] for col in cols for x in frontier} - members
+            members |= frontier
+        return tuple(sorted(members)) if 2 * len(members) <= n else whole_ids
+
     found = {}
     whole = g.whole_group()
     found[whole.mask] = whole
@@ -90,7 +129,7 @@ def _all_pairs_subgroups(g):
         for cj in cyclic[i + 1 :]:
             if ci.mask & cj.mask in (ci.mask, cj.mask):
                 continue
-            ids = g.closure_ids(ci.generators + cj.generators)
+            ids = closure(ci.generators + cj.generators)
             if len(ids) == g.n:
                 continue
             mask = sum(1 << x for x in ids)
@@ -112,10 +151,24 @@ def _all_pairs_stability(g):
     return True
 
 
+def _all_pairs_closed(g):
+    """The unreduced closedness test: every product of two members and
+    every inverse of a member stays in the listed subgroup."""
+    for sub in g.subgroups():
+        members = set(sub.ids)
+        for a in sub.ids:
+            if g.inverses[a] not in members:
+                return False
+            if any(g.mul(a, b) not in members for b in sub.ids):
+                return False
+    return True
+
+
 def _assert_matches_all_pairs(g):
     expected = [(s.mask, s.generators) for s in _all_pairs_subgroups(g)]
     assert [(s.mask, s.generators) for s in g.subgroups()] == expected
     assert g.check_subgroups_closed()
+    assert _all_pairs_closed(g)
 
 
 @pytest.mark.parametrize("kind,args", SHAPES)
@@ -137,8 +190,8 @@ def test_subgroups_match_all_pairs_on_psl2(ell, count):
 
 
 def _conjugates(g, sub):
-    n, t, inv = g.n, g.table, g.inverses
-    return {tuple(sorted(t[t[a * n + x] * n + inv[a]] for x in sub.ids)) for a in range(n)}
+    mul, inv = g.mul, g.inverses
+    return {tuple(sorted(mul(mul(a, x), inv[a]) for x in sub.ids)) for a in range(g.n)}
 
 
 @pytest.mark.parametrize("size", [7, 24])
@@ -152,6 +205,23 @@ def test_certificates_fail_on_a_list_with_subgroups_dropped(size):
         g._subgroups = [s for s in full if s.ids not in dropped]
         assert not g.three_generator_stability()
         assert not _all_pairs_stability(g)
+
+
+def test_check_subgroups_closed_fails_on_a_damaged_list():
+    g = Psl2Atlas(7)  # a private atlas: the list is edited below
+    full = g.subgroups()
+    assert g.check_subgroups_closed()
+    k, sub = next((k, s) for k, s in enumerate(full) if s.size == 24)
+    # a non-identity element removed from the ids: no longer a subgroup
+    ids = tuple(x for x in sub.ids if x != sub.generators[0])
+    g._subgroups = full[:k] + [replace(sub, ids=ids)] + full[k + 1 :]
+    assert not g.check_subgroups_closed()
+    assert not _all_pairs_closed(g)
+    # the right ids, but generators that generate a proper cyclic subgroup
+    cyclic = next(c for c in g.cyclic_subgroups() if c.size == 4 and c.mask & sub.mask == c.mask)
+    g._subgroups = full[:k] + [replace(sub, generators=cyclic.generators)] + full[k + 1 :]
+    assert not g.check_subgroups_closed()
+    assert _all_pairs_closed(g)  # the product test cannot see it
 
 
 def test_semidirect_p_form_on_a_group_of_order_p():

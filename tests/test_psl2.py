@@ -6,7 +6,7 @@ import pytest
 
 from wildram.exactmath import is_prime, least_nonresidue, prime_factors, vp
 from wildram.psl2 import (
-    TABLE_ORDER_LIMIT,
+    ORDER_LIMIT,
     ClassTriple,
     ConjClass,
     InertiaType,
@@ -257,18 +257,24 @@ def test_subgroup_claims_budget_refusal():
     assert not report.all_passed
 
 
-def test_table_order_limit_binds_whatever_the_budget():
-    assert TABLE_ORDER_LIMIT == 3000
+def test_order_limit_binds_whatever_the_budget():
+    assert ORDER_LIMIT == 12180 == group_params(7, 29).order
     misses = psl2_atlas.cache_info().misses
-    for p, ell in ((7, 97), (3, 19)):
+    for p, ell in ((7, 97), (3, 31)):
         report = verify_subgroup_claims(p, ell, budget=10**6)
         assert report.status == "refused"
         assert report.reason.endswith(
-            f"exceeds the table size limit {TABLE_ORDER_LIMIT}; claims not checked"
+            f"exceeds the order limit {ORDER_LIMIT}; claims not checked"
         )
     assert psl2_atlas.cache_info().misses == misses  # no atlas was built
-    with pytest.raises(ValueError, match="table size limit"):
-        Psl2Atlas(19)
+    with pytest.raises(ValueError, match="order limit"):
+        Psl2Atlas(31)
+
+
+def test_subgroup_claims_3_19_above_the_default_budget():
+    report = verify_subgroup_claims(3, 19, budget=3420)
+    assert report.status == "checked" and report.subgroup_count == 2912
+    assert [c.status for c in report.claims] == ["pass", "pass", "fail"]
 
 
 def test_report_serializes():

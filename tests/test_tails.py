@@ -135,12 +135,12 @@ def test_small_group_construction():
 
 def test_small_group_associativity_spot_check():
     g = SmallGroup.semidirect(5, 1, 4)
-    n, t = g.n, g.table
+    n, mul = g.n, g.mul
     for a in range(n):
         for b in range(n):
-            ab = t[a * n + b]
+            ab = mul(a, b)
             for c in range(n):
-                assert t[ab * n + c] == t[a * n + t[b * n + c]]
+                assert mul(ab, c) == mul(a, mul(b, c))
 
 
 def test_generation_obstruction_examples():
