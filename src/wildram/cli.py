@@ -3,8 +3,10 @@
 Every subcommand prints one machine-readable report on stdout (JSON by
 default, CSV or plain text via --format) and writes diagnostics to stderr.
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or
-precondition error.  Rationals cross the boundary as exact strings 'n/d';
-no floating point is used anywhere.
+precondition error, or an internal fault (an invariant the program checks
+on itself broke), reported on stderr as "internal error: ...".  Rationals
+cross the boundary as exact strings 'n/d'; no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -428,6 +430,9 @@ def main(argv=None) -> int:
         payload, rows, code = args.handler(args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RuntimeError as exc:  # an invariant the program checks on itself broke
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     emit(payload, rows, args.format)
     return code

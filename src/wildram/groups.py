@@ -19,7 +19,10 @@ class.
 The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
 the steps from the cyclic class representatives; the certificate takes one
-from every class of listed subgroups and finds nothing new.
+from every class of listed subgroups and finds nothing new.  Most of those
+closures are the whole group, the costliest to search; a subclass that can
+prove a closure whole without searching it overrides ``_proves_whole``
+(PSL2 does, by a stabilizer chain on the projective line).
 """
 
 from __future__ import annotations
@@ -28,6 +31,17 @@ from dataclasses import dataclass
 from math import gcd
 
 from .exactmath import vp
+
+# The order of PSL2(F_29), the largest group either model is built for.  The
+# subgroup search holds one n-bit mask per listed subgroup: at this order
+# 10040 masks of up to 12180 bits, 14 MB.
+ORDER_LIMIT = 12180
+
+
+def check_order(n: int):
+    """Refuse a group above ORDER_LIMIT elements, before any of it is built."""
+    if n > ORDER_LIMIT:
+        raise ValueError(f"group order {n} exceeds the order limit {ORDER_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +115,16 @@ class FiniteGroup:
     # -- closures
 
     def closure_ids(self, gens) -> tuple[int, ...]:
-        """Sorted ids of <gens>.
+        """Sorted ids of <gens>; the whole group once it passes n/2 elements."""
+        members = self._closure(gens, self.n)
+        return self._whole_ids if members is None else tuple(sorted(members))
 
-        Once more than half the elements are reached the subgroup must be
-        everything (its order divides the group order), so the search stops
-        early and returns the whole group.
+    def _closure(self, gens, size: int) -> list[int] | None:
+        """The elements of <gens>, or None once more than size/2 are reached.
+
+        Inside a subgroup of order ``size`` that holds gens, <gens> is a
+        subgroup whose order divides ``size``, so None then means <gens> is
+        all of it and the search stops early.
         """
         n, mul = self.n, self.mul
         gens = sorted(set(gens))
@@ -114,7 +133,7 @@ class FiniteGroup:
         seen[e] = 1
         members = [e]
         frontier = [e]
-        half = n // 2
+        half = size // 2
         while frontier:
             nxt = []
             for x in frontier:
@@ -125,9 +144,14 @@ class FiniteGroup:
                         nxt.append(y)
             members += nxt
             if len(members) > half:
-                return self._whole_ids
+                return None
             frontier = nxt
-        return tuple(sorted(members))
+        return members
+
+    def _proves_whole(self, gens) -> bool:
+        """True only when <gens> is proven to be the whole group without a
+        closure; False leaves the question to closure_ids."""
+        return False
 
     def generates(self, gens) -> bool:
         return len(self.closure_ids(gens)) == self.n
@@ -173,7 +197,9 @@ class FiniteGroup:
                 found.setdefault(sub.mask, sub)
             new: dict[int, tuple[int, ...]] = {}
             conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
-            for cls in self._cyclic_orbits(conjugators):
+            cyclic_of = self._cyclic_of
+            maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
+            for cls in self._cyclic_orbits(maps):
                 for ids in self._extensions(cyclic[cls[0]]):
                     if len(ids) == self.n:
                         continue  # the whole group, found already
@@ -204,34 +230,35 @@ class FiniteGroup:
             reached = set(self.closure_ids(gens))
         return gens
 
-    def _cyclic_orbits(self, conjugators) -> list[list[int]]:
+    def _cyclic_orbits(self, maps, skip=None) -> list[list[int]]:
         """Orbits of the cyclic subgroups, as positions in cyclic_subgroups(),
-        under the group the conjugation maps generate; each orbit starts
-        with its least position."""
-        cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
-        seen = bytearray(len(cyclic))
+        under the group generated by ``maps``, each a conjugation as a list
+        over those positions; each orbit starts with its least position.
+        Positions marked in ``skip``, a union of orbits, are left out."""
+        count = len(self.cyclic_subgroups())
+        seen = bytearray(count) if skip is None else bytearray(skip)
         orbits = []
-        for start in range(len(cyclic)):
+        for start in range(count):
             if seen[start]:
                 continue
             seen[start] = 1
             orbit = [start]
-            k = 0
-            while k < len(orbit):
-                x = cyclic[orbit[k]].generators[0]
-                for conj in conjugators:
-                    c = cyclic_of[conj[x]]
-                    if not seen[c]:
-                        seen[c] = 1
-                        orbit.append(c)
-                k += 1
+            for c in orbit:  # grows while it is read
+                for m in maps:
+                    d = m[c]
+                    if not seen[d]:
+                        seen[d] = 1
+                        orbit.append(d)
             orbits.append(orbit)
         return orbits
 
     def _extensions(self, sub: Subgroup):
         """Yield <H, y>, H = sub, for one cyclic <y> per N(H)-orbit, skipping
         any <y> nested with H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H),
-        these stand for every <H, y'> up to conjugacy."""
+        these stand for every <H, y'> up to conjugacy.  The cyclic subgroups
+        inside H form whole N(H)-orbits and are left out before the orbits
+        are taken, only the generators of the others are conjugated, and a
+        closure that _proves_whole proves whole is not searched."""
         n, mul, inverses = self.n, self.mul, self.inverses
         inside = bytearray(n)
         for x in sub.ids:
@@ -239,12 +266,20 @@ class FiniteGroup:
         normalizer = range(n)
         for h in sub.generators:  # g normalizes H iff g h g^-1 is in H for each generator h
             normalizer = [g for g in normalizer if inside[mul(mul(g, h), inverses[g])]]
-        conjugators = [self._conjugation(g) for g in self._generating_set(normalizer)]
-        cyclic = self.cyclic_subgroups()
-        for orbit in self._cyclic_orbits(conjugators):
+        cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
+        skip = bytes(inside[cy.generators[0]] for cy in cyclic)
+        maps = []
+        for g in self._generating_set(normalizer):
+            g_inverse = inverses[g]
+            maps.append([
+                None if skip[c] else cyclic_of[mul(mul(g, cy.generators[0]), g_inverse)]
+                for c, cy in enumerate(cyclic)
+            ])
+        for orbit in self._cyclic_orbits(maps, skip):
             cy = cyclic[orbit[0]]
-            if sub.mask & cy.mask not in (sub.mask, cy.mask):
-                yield self.closure_ids(sub.generators + cy.generators)
+            if sub.mask & cy.mask != sub.mask:  # else H is inside <y>
+                gens = sub.generators + cy.generators
+                yield self._whole_ids if self._proves_whole(gens) else self.closure_ids(gens)
 
     @staticmethod
     def _conjugacy_class(ids, mask, conjugators) -> dict[int, tuple[int, ...]]:
@@ -274,7 +309,7 @@ class FiniteGroup:
                 if ca.mask & cb.mask in (ca.mask, cb.mask):
                     continue
                 pair = ca.generators + cb.generators
-                if len(self.closure_ids(pair)) == len(ids):
+                if self._closure(pair, len(ids)) is None:
                     return pair
         raise RuntimeError(f"no two cyclic subgroups generate a subgroup of order {len(ids)}")
 
@@ -300,7 +335,7 @@ class FiniteGroup:
 
     def is_quasi_p(self, sub: Subgroup, p: int) -> bool:
         """Whether the subgroup is generated by its elements of p-power order."""
-        return self.closure_ids(self.p_element_ids(sub, p)) == sub.ids
+        return self._closure(self.p_element_ids(sub, p), sub.size) is None
 
     def semidirect_p_form(self, sub: Subgroup, p: int) -> bool:
         """Whether the subgroup is Z/p x| Z/m with p not dividing m.

@@ -17,8 +17,11 @@ needs the products) finds, for groups of order within a budget, every
 subgroup generated by at most two elements.  It closes one pair of cyclic
 subgroups per conjugacy class of such pairs and adds each closure's
 conjugates, which gives the same list as closing every pair, and the
-subgroup claims are answered from that complete list.  No budget admits a
-group above ORDER_LIMIT elements.
+subgroup claims are answered from that complete list.  A closure that
+reaches the whole group is proven whole by a stabilizer chain of its
+generators' action on the projective line P^1(F_l) instead of being
+searched; every other closure is still searched.  No budget admits a group
+above ORDER_LIMIT elements.
 """
 
 from __future__ import annotations
@@ -28,12 +31,7 @@ from functools import lru_cache
 from math import gcd
 
 from .exactmath import is_prime, least_nonresidue, prime_factors, vp
-from .groups import FiniteGroup, Subgroup
-
-
-# The order of PSL2(F_29).  The subgroup search holds one n-bit mask per
-# listed subgroup: at this order 10040 masks of up to 12180 bits, 14 MB.
-ORDER_LIMIT = 12180
+from .groups import ORDER_LIMIT, FiniteGroup, Subgroup, check_order
 
 
 def _require_odd_prime(n: int, name: str):
@@ -337,15 +335,82 @@ class Psl2Atlas(FiniteGroup):
 
     def __init__(self, ell: int):
         _require_odd_prime(ell, "ell")
-        order = ell * (ell * ell - 1) // 2
-        if order > ORDER_LIMIT:
-            raise ValueError(f"group order {order} exceeds the order limit {ORDER_LIMIT}")
+        check_order(ell * (ell * ell - 1) // 2)
         self.ell = ell
         self._build_elements()
+        self._inverse_mod = [0] + [pow(x, ell - 2, ell) for x in range(1, ell)]
+        self._perms = [None] * self.n
         super().__init__(self.n, self._index[(1, 0, 0, 1)])
 
     def mul(self, a: int, b: int) -> int:
         return self._index[_mat_mul(self.elements[a], self.elements[b], self.ell)]
+
+    def _perm(self, g: int) -> list[int]:
+        """The permutation z -> (az + b)/(cz + d) of P^1(F_l) by element g, on
+        points 0..l-1 for F_l and l for infinity; computed once per id."""
+        perm = self._perms[g]
+        if perm is None:
+            ell, inverse = self.ell, self._inverse_mod
+            a, b, c, d = self.elements[g]
+            perm = [ell] * (ell + 1)
+            for z in range(ell):
+                den = (c * z + d) % ell
+                if den:
+                    perm[z] = (a * z + b) * inverse[den] % ell
+            if c:
+                perm[ell] = a * inverse[c] % ell
+            self._perms[g] = perm
+        return perm
+
+    def _proves_whole(self, gens) -> bool:
+        """Whether <gens> is the whole group, decided on its action on
+        P^1(F_l) by a stabilizer chain with base (infinity, 0, 1).
+
+        Each level's orbit grows from the Schreier generators of the level
+        above as they are drawn (Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, 4.4).  Any orbits so grown give
+        |<gens>| >= |O_1| |O_2| |O_3| (orbit-stabilizer), so once that
+        product exceeds n/2 Lagrange leaves only the whole group.  The whole
+        group is 2-transitive on P^1, so a first or second orbit that closes
+        short of the points not yet fixed means False.  Only the identity
+        fixes three points, so once every Schreier generator is drawn the
+        product is the exact order, which must equal the closure's size.
+
+        A level-2 generator is first sifted into level 3 by its own Schreier
+        generator at the base point 0; the others wait until level 1 has
+        none left.
+        """
+        ell, n = self.ell, self.n
+        level1 = _Orbit(self, ell)
+        for g in gens:
+            level1.add(g)
+        if len(level1.points) <= ell:
+            return False
+        level2, level3 = _Orbit(self, 0), _Orbit(self, 1)
+        sifted = 0
+        for g in level1.schreier_generators():
+            level2.add(g)
+            if len(level2.points) < ell:
+                continue
+            while sifted < len(level2.gens):
+                level3.add(level2.schreier_generator(0, sifted))  # at the base point 0
+                sifted += 1
+                if 2 * (ell + 1) * ell * len(level3.points) > n:
+                    return True
+        if len(level2.points) < ell:
+            return False
+        for g in level2.schreier_generators(1):
+            level3.add(g)
+            if 2 * (ell + 1) * ell * len(level3.points) > n:
+                return True
+        order = (ell + 1) * ell * len(level3.points)
+        size = len(self.closure_ids(gens))
+        if order != size:
+            raise RuntimeError(
+                f"PSL2(F_{ell}): the stabilizer chain of {tuple(gens)} gives order {order},"
+                f" its closure has {size} elements"
+            )
+        return False
 
     def _build_elements(self):
         ell = self.ell
@@ -374,6 +439,79 @@ class Psl2Atlas(FiniteGroup):
         if self.n != expected:
             raise RuntimeError(f"PSL2(F_{ell}) enumeration found {self.n}, expected {expected}")
         self._index = seen
+
+
+class _Orbit:
+    """The orbit of a base point of P^1 under a growing list of elements of
+    a Psl2Atlas, and a transversal, found as it is asked for: the id
+    trans(y) maps the base point to y."""
+
+    def __init__(self, atlas: Psl2Atlas, base: int):
+        self.atlas = atlas
+        self.gens, self.perms = [], []
+        self.points = [base]
+        # parent[y] = (o, j): y is the image of o under gens[j]; () at the base
+        self.parent = [None] * (atlas.ell + 1)
+        self.parent[base] = ()
+        self._trans = {base: atlas.identity_id}
+
+    def add(self, g: int):
+        """Append the generator g, unless it is the identity or known, and
+        close the orbit under every generator."""
+        if g == self.atlas.identity_id or g in self.gens:
+            return
+        perms, points, parent = self.perms, self.points, self.parent
+        perm = self.atlas._perm(g)
+        j = len(perms)
+        self.gens.append(g)
+        perms.append(perm)
+        i = len(points)
+        for o in points[:i]:
+            y = perm[o]
+            if parent[y] is None:
+                parent[y] = (o, j)
+                points.append(y)
+        while i < len(points):
+            o = points[i]
+            i += 1
+            for k, p in enumerate(perms):
+                y = p[o]
+                if parent[y] is None:
+                    parent[y] = (o, k)
+                    points.append(y)
+
+    def trans(self, y: int) -> int:
+        known = self._trans
+        path = []
+        while y not in known:
+            o, j = self.parent[y]
+            path.append((y, j))
+            y = o
+        t, mul, gens = known[y], self.atlas.mul, self.gens
+        for y, j in reversed(path):
+            t = known[y] = mul(gens[j], t)
+        return t
+
+    def schreier_generator(self, o: int, j: int) -> int:
+        """trans(y)^-1 gens[j] trans(o) for y the image of the orbit point o:
+        an element fixing the base point, the identity on a tree edge."""
+        y = self.perms[j][o]
+        if self.parent[y] == (o, j):
+            return self.atlas.identity_id
+        mul = self.atlas.mul
+        return mul(self.atlas.inverses[self.trans(y)], mul(self.gens[j], self.trans(o)))
+
+    def schreier_generators(self, first: int = 0):
+        """Yield the Schreier generators other than the identity of the
+        points from index ``first`` on, point by point, while the orbit and
+        its generators stay fixed.  Over every point they generate the
+        stabilizer of the base point (Schreier's lemma)."""
+        identity = self.atlas.identity_id
+        for o in self.points[first:]:
+            for j in range(len(self.gens)):
+                g = self.schreier_generator(o, j)
+                if g != identity:
+                    yield g
 
 
 @lru_cache(maxsize=1)

@@ -28,9 +28,8 @@ from itertools import product
 from math import gcd
 
 from .exactmath import format_rational, is_prime, prime_factors, vp
-from .groups import FiniteGroup
+from .groups import FiniteGroup, check_order
 
-GROUP_SIZE_LIMIT = 2_000
 SEARCH_LIMIT = 2_000_000
 
 
@@ -176,8 +175,7 @@ class SmallGroup(FiniteGroup):
 
     def __init__(self, q: int, m: int, unit: int):
         n = q * m
-        if n > GROUP_SIZE_LIMIT:
-            raise ValueError(f"group order {n} exceeds the limit {GROUP_SIZE_LIMIT}")
+        check_order(n)
         self.action_unit = unit
         self._q, self._m = q, m
         # (a, u^b, b) for id a + q*b
@@ -210,8 +208,7 @@ class SmallGroup(FiniteGroup):
         if m % m_I != 0 or (p - 1) % m_I != 0:
             raise ValueError(f"m_I = {m_I} must divide gcd(m, p - 1)")
         q = p**r
-        if q * m > GROUP_SIZE_LIMIT:  # before the unit search, which scans up to q
-            raise ValueError(f"group order {q * m} exceeds the limit {GROUP_SIZE_LIMIT}")
+        check_order(q * m)  # before the unit search, which scans up to q
         return cls(q, m, _smallest_unit_of_order(q, p, m_I))
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+from wildram import cli
 from wildram.cli import main
 from wildram.towers import parse_tower_spec
 
@@ -212,3 +213,15 @@ def test_verify_group_witness_matrices_are_stable(capsys):
     failed = [c for c in payload["claims"] if c["status"] == "fail"]
     assert [c["claim"] for c in failed] == ["quasi-p-above-dihedral-is-whole"]
     assert failed[0]["witness"] == {"generators": [[0, 1, 10, 0], [3, 2, 10, 7]], "size": 60}
+
+
+def test_internal_fault_is_reported_not_raised(capsys, monkeypatch):
+    # an invariant breach (RuntimeError) inside a handler: a one-line report
+    # on stderr, nothing on stdout, exit 2, no traceback
+    def broken(args):
+        raise RuntimeError("stabilizer chain order 56 differs from the closure")
+
+    monkeypatch.setattr(cli, "_cmd_params", broken)
+    code, out, err = run(capsys, "params", "--p", "7", "--ell", "97")
+    assert code == 2 and out == ""
+    assert err == "internal error: stabilizer chain order 56 differs from the closure\n"

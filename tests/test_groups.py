@@ -3,13 +3,15 @@
 from dataclasses import replace
 from itertools import product
 from math import gcd
+from random import Random
 
 import pytest
 
+from wildram import psl2
 from wildram.exactmath import vp
-from wildram.groups import Subgroup
+from wildram.groups import ORDER_LIMIT, Subgroup
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
-from wildram.tails import GROUP_SIZE_LIMIT, SmallGroup, generation_obstruction
+from wildram.tails import SmallGroup, generation_obstruction
 
 # every SmallGroup shape that checks.py and the tests build
 SHAPES = [
@@ -68,19 +70,21 @@ def test_psl2_axioms_and_matrix_products(ell):
 
 
 def test_cyclic_orders_and_inverses():
-    g = SmallGroup.cyclic(GROUP_SIZE_LIMIT)  # ids are the residues a mod n
+    g = SmallGroup.cyclic(ORDER_LIMIT)  # ids are the residues a mod n
     n = g.n
     assert g.orders == [n // gcd(a, n) for a in range(n)]
     assert g.inverses == [-a % n for a in range(n)]
 
 
 def test_size_cap_refuses_the_table():
-    assert GROUP_SIZE_LIMIT == 2000
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        SmallGroup.semidirect(3, 7, 1)  # 2187 elements
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        SmallGroup.cyclic(GROUP_SIZE_LIMIT + 1)
-    assert SmallGroup.cyclic(GROUP_SIZE_LIMIT).n == GROUP_SIZE_LIMIT
+    # one order limit for both group models, PSL2(F_29)'s order
+    assert ORDER_LIMIT == 12180
+    with pytest.raises(ValueError, match="exceeds the order limit 12180"):
+        SmallGroup.semidirect(3, 9, 1)  # 19683 elements
+    with pytest.raises(ValueError, match="exceeds the order limit 12180"):
+        SmallGroup.cyclic(ORDER_LIMIT + 1)
+    assert SmallGroup.cyclic(ORDER_LIMIT).n == ORDER_LIMIT
+    assert SmallGroup.semidirect(3, 7, 1).n == 2187  # refused by the old 2000 cap
 
 
 @pytest.mark.parametrize(
@@ -266,3 +270,81 @@ def _brute_obstruction(p, r, m, vp_gen):
 def test_generation_obstruction_matches_all_pairs(p, r, m):
     for vp_gen in range(r + 1):
         assert generation_obstruction(r, m, vp_gen, p) is _brute_obstruction(p, r, m, vp_gen)
+
+
+# -- the whole-group test of the extension step, against BFS closure
+
+
+def _extension_generating_sets(ell):
+    """Every generating set the extension step closes on PSL2(F_ell), in the
+    subgroup search and in the three-generator certificate, with the
+    verdict of _proves_whole on each (a private atlas, so no other test
+    shares the recording)."""
+    g = Psl2Atlas(ell)
+    seen = []
+
+    def record(gens):
+        verdict = Psl2Atlas._proves_whole(g, gens)
+        seen.append((tuple(gens), verdict))
+        return verdict
+
+    g._proves_whole = record
+    g.subgroups()
+    assert g.three_generator_stability()
+    return g, seen
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11])
+def test_proves_whole_matches_closure_on_every_extension(ell):
+    g, seen = _extension_generating_sets(ell)
+    assert {verdict for _, verdict in seen} == {True, False}
+    for gens, verdict in seen:
+        # a True verdict is never false, and every whole closure is proven
+        assert verdict == (len(g.closure_ids(gens)) == g.n), gens
+
+
+@pytest.mark.parametrize("ell", [13, 17])
+def test_proves_whole_on_random_generating_sets(ell):
+    g = psl2_atlas(ell)
+    proper = [s for s in g.subgroups() if 1 < s.size < g.n]
+    rng = Random(ell)
+    wholes = 0
+    for k in range(200):
+        size = 2 + k % 2
+        # half from the whole group, half from inside a listed proper subgroup
+        ids = range(g.n) if k < 100 else rng.choice(proper).ids
+        gens = [rng.choice(ids) for _ in range(size)]
+        whole = len(g.closure_ids(gens)) == g.n
+        assert g._proves_whole(gens) == whole, gens
+        wholes += whole
+    assert 50 <= wholes <= 100
+
+
+@pytest.mark.parametrize("ell", [11, 13])
+def test_proves_whole_never_calls_a_large_proper_subgroup_whole(ell):
+    g = psl2_atlas(ell)
+    largest = sorted(g.subgroups(), key=lambda s: s.size)[-4:-1]
+    assert all(s.size < g.n for s in largest)
+    for sub in largest:
+        assert not g._proves_whole(sub.generators)
+        assert not g._proves_whole(sub.ids[:4] + sub.generators)
+
+
+def test_a_chain_that_loses_its_generators_is_caught(monkeypatch):
+    # Schreier generators at the base point 0 replaced by the identity: the
+    # chain runs out short of the whole group's order, and the cross-check
+    # against the closure refuses it instead of answering False
+    schreier_generator = psl2._Orbit.schreier_generator
+
+    def broken(orbit, o, j):
+        if orbit.points[0] == 0:
+            return orbit.atlas.identity_id
+        return schreier_generator(orbit, o, j)
+
+    g = Psl2Atlas(7)
+    whole = next(gens for gens, verdict in _extension_generating_sets(7)[1] if verdict)
+    monkeypatch.setattr(psl2._Orbit, "schreier_generator", broken)
+    with pytest.raises(RuntimeError, match="stabilizer chain .* gives order 56, its closure has 168"):
+        g._proves_whole(whole)
+    with pytest.raises(RuntimeError, match="stabilizer chain"):
+        g.subgroups()

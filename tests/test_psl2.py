@@ -277,6 +277,13 @@ def test_subgroup_claims_3_19_above_the_default_budget():
     assert [c.status for c in report.claims] == ["pass", "pass", "fail"]
 
 
+def test_psl2_23_certified_with_both_certificates():
+    atlas = Psl2Atlas(23)  # a private atlas: psl2_atlas keeps one
+    assert len(atlas.subgroups()) == 5915
+    assert atlas.check_subgroups_closed()
+    assert atlas.three_generator_stability()
+
+
 def test_report_serializes():
     report = verify_subgroup_claims(3, 5)
     d = report.to_dict()
