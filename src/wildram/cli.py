@@ -48,6 +48,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# The most admissible sequences, by the a-priori bound of _enumeration_bound,
+# that one `enumerate` request may ask for; a larger request is refused.
+ENUMERATION_LIMIT = 100_000
+
 
 def _parse_jumps(text: str) -> JumpSequence:
     return JumpSequence.from_strings([part for part in text.split(",") if part.strip()])
@@ -123,19 +127,43 @@ def _cmd_admissible(args):
     return payload, verdict.to_dict()["conditions"], EXIT_OK
 
 
+def _enumeration_bound(inertia: InertiaType, bound) -> int:
+    """An upper bound, known before enumerating, on the admissible sequences
+    with u_r <= bound: each m u_i is a positive integer at most
+    floor(m bound / p^(r-i)), so there are at most the product of those caps
+    (and the enumeration loops at most r times that often).  The product
+    stops at 0 or once past ENUMERATION_LIMIT, so a huge bound is cheap."""
+    cap, product = max(int(inertia.m * bound), 0), 1
+    for _ in range(inertia.r):
+        product *= cap
+        if product == 0 or product > ENUMERATION_LIMIT:
+            break
+        cap //= inertia.p
+    return product
+
+
 def _cmd_enumerate(args):
     inertia = _inertia_from_args(args, r=args.r)
     bound = parse_rational(args.bound)
-    seqs = enumerate_admissible(inertia, bound)
+    count_bound = _enumeration_bound(inertia, bound)
     payload = {
         "command": "enumerate",
         "check": "admissible-enumeration",
         "statement": "all admissible sequences with u_r <= bound, lexicographic",
         "inertia": inertia.to_dict(),
         "bound": format_rational(bound),
-        "count": len(seqs),
-        "sequences": [s.to_strings() for s in seqs],
     }
+    if count_bound > ENUMERATION_LIMIT:
+        payload["status"] = "refused"
+        payload["limit"] = ENUMERATION_LIMIT
+        payload["reason"] = (
+            f"the a-priori bound on the sequence count exceeds the enumeration limit"
+            f" {ENUMERATION_LIMIT}; sequences not enumerated"
+        )
+        return payload, None, EXIT_OK
+    seqs = enumerate_admissible(inertia, bound)
+    payload["count"] = len(seqs)
+    payload["sequences"] = [s.to_strings() for s in seqs]
     rows = [{"index": i, "jumps": ",".join(s.to_strings())} for i, s in enumerate(seqs)]
     return payload, rows, EXIT_OK
 

@@ -14,7 +14,9 @@ by two cyclic subgroups is conjugate to some <x, y> with <x> one
 representative per conjugacy class of cyclic subgroups and <y> one
 representative per orbit of the normalizer N(<x>) on the cyclic subgroups.
 Only those pairs are closed; each new closure brings its whole conjugacy
-class.
+class, and the search records which class each listed subgroup is in
+(``class_number``), so questions invariant under conjugation are asked
+once per class.
 
 The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
@@ -72,6 +74,7 @@ class FiniteGroup:
         self._walk_cyclic_subgroups()
         self._cyclic = None
         self._subgroups = None
+        self._class_of = None
 
     def mul(self, a: int, b: int) -> int:
         """The id of the product ab."""
@@ -199,17 +202,33 @@ class FiniteGroup:
             conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
             cyclic_of = self._cyclic_of
             maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
-            for cls in self._cyclic_orbits(maps):
+            orbits = self._cyclic_orbits(maps)
+            # the conjugacy classes as the search meets them, as lists of masks
+            classes = [[whole.mask]] + [[cyclic[c].mask for c in cls] for cls in orbits]
+            for cls in orbits:
                 for ids in self._extensions(cyclic[cls[0]]):
                     if len(ids) == self.n:
                         continue  # the whole group, found already
                     mask = _mask(ids)
                     if mask not in found and mask not in new:
-                        new.update(self._conjugacy_class(ids, mask, conjugators))
+                        conjugates = self._conjugacy_class(ids, mask, conjugators)
+                        classes.append(list(conjugates))
+                        new.update(conjugates)
             for mask, ids in new.items():
                 found[mask] = Subgroup(ids, mask, self._first_generating_pair(ids))
             self._subgroups = sorted(found.values(), key=lambda s: (s.size, s.ids))
+            label = {mask: k for k, cls in enumerate(classes) for mask in cls}
+            number: dict[int, int] = {}  # renumbered by first member in list order
+            self._class_of = {
+                s.mask: number.setdefault(label[s.mask], len(number)) for s in self._subgroups
+            }
         return self._subgroups
+
+    def class_number(self, sub: Subgroup) -> int:
+        """The conjugacy class of a listed subgroup, as recorded by the search:
+        classes are numbered 0, 1, ... by their first member in subgroups()."""
+        self.subgroups()
+        return self._class_of[sub.mask]
 
     # -- conjugation, used by the subgroup search
 
@@ -299,8 +318,15 @@ class FiniteGroup:
     def _first_generating_pair(self, ids) -> tuple[int, int]:
         """Generators of the first pair (i < j) of cyclic subgroups inside
         the subgroup ``ids``, in cyclic_subgroups() order, that generates it:
-        the pair a search over all cyclic pairs in that order meets first."""
-        cyclic = self.cyclic_subgroups()
+        the pair a search over all cyclic pairs in that order meets first.
+
+        A pair of involutions x != y is settled by one product, not a
+        closure: <x, y> is the dihedral group of order 2 ord(xy).  That is
+        an identity of every group (xy is inverted by x, and <x, y> is <xy>
+        and its coset x<xy>), not a fact about PSL2; check_subgroups_closed
+        still closes every stored pair."""
+        cyclic, orders, mul = self.cyclic_subgroups(), self.orders, self.mul
+        size = len(ids)
         inside = sorted({self._cyclic_of[x] for x in ids})
         for k, a in enumerate(inside):
             ca = cyclic[a]
@@ -309,9 +335,12 @@ class FiniteGroup:
                 if ca.mask & cb.mask in (ca.mask, cb.mask):
                     continue
                 pair = ca.generators + cb.generators
-                if self._closure(pair, len(ids)) is None:
+                if ca.size == cb.size == 2:
+                    if 2 * orders[mul(*pair)] == size:
+                        return pair
+                elif self._closure(pair, size) is None:
                     return pair
-        raise RuntimeError(f"no two cyclic subgroups generate a subgroup of order {len(ids)}")
+        raise RuntimeError(f"no two cyclic subgroups generate a subgroup of order {size}")
 
     # -- predicates
 
@@ -341,8 +370,8 @@ class FiniteGroup:
         """Whether the subgroup is Z/p x| Z/m with p not dividing m.
 
         Requires |H| = p*m with v_p = 1, all p-elements in one (then
-        automatically normal) subgroup of order p, and a cyclic subgroup of
-        order m to act as the complement.
+        automatically normal) subgroup of order p, and an element of order
+        m, whose cyclic subgroup is then a complement.
         """
         if sub.size % p != 0 or vp(sub.size, p) != 1:
             return False
@@ -352,11 +381,7 @@ class FiniteGroup:
             return False
         if len(self.closure_ids(p_ids)) != p:
             return False
-        if m == 1:
-            return True
-        return any(
-            c.size == m and c.mask & sub.mask == c.mask for c in self.cyclic_subgroups()
-        )
+        return any(self.orders[x] == m for x in sub.ids)
 
     # -- completeness certificates of the subgroup search
 

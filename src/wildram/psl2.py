@@ -17,9 +17,10 @@ needs the products) finds, for groups of order within a budget, every
 subgroup generated by at most two elements.  It closes one pair of cyclic
 subgroups per conjugacy class of such pairs and adds each closure's
 conjugates, which gives the same list as closing every pair, and the
-subgroup claims are answered from that complete list.  A closure that
-reaches the whole group is proven whole by a stabilizer chain of its
-generators' action on the projective line P^1(F_l) instead of being
+subgroup claims are answered from that complete list, one question per
+conjugacy class of subgroups since each is invariant under conjugation.  A
+closure that reaches the whole group is proven whole by a stabilizer chain
+of its generators' action on the projective line P^1(F_l) instead of being
 searched; every other closure is still searched.  No budget admits a group
 above ORDER_LIMIT elements.
 """
@@ -584,6 +585,12 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
     (iii) every quasi-p subgroup containing a dihedral subgroup of order 2p
           is the whole group.
 
+    Being abelian, of the form Z/p x| Z/m, quasi-p, or above a D_p does not
+    change under conjugation, so each is decided once per conjugacy class
+    of subgroups (FiniteGroup.class_number), on the class's first member.
+    The subgroups are still walked in list order, so the counts and the
+    first witness of each claim are those of a walk over every subgroup.
+
     Refuses (claims unchecked, not falsified) when the group order exceeds
     the budget or, whatever the budget, ORDER_LIMIT.
     """
@@ -605,9 +612,26 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
     subs = atlas.subgroups()
     two_p = 2 * p
 
-    dihedrals = [
-        s for s in subs if s.size == two_p and not atlas.is_abelian_subgroup(s)
-    ]
+    def per_class(predicate):
+        """predicate, asked once per conjugacy class of subgroups: on the
+        class's first member in list order, the answer reused for the rest."""
+        answers = {}
+
+        def ask(sub):
+            k = atlas.class_number(sub)
+            if k not in answers:
+                answers[k] = predicate(sub)
+            return answers[k]
+
+        return ask
+
+    is_abelian = per_class(atlas.is_abelian_subgroup)
+    dihedrals = [s for s in subs if s.size == two_p and not is_abelian(s)]
+    semidirect = per_class(lambda s: atlas.semidirect_p_form(s, p))
+    quasi_p = per_class(lambda s: atlas.is_quasi_p(s, p))
+    contains_dihedral = per_class(
+        lambda s: any(d.mask & s.mask == d.mask for d in dihedrals)
+    )
     if dihedrals:
         claim1 = ClaimResult(
             "dihedral-exists",
@@ -626,9 +650,9 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
         f"every nonabelian Z/{p} x| Z/m subgroup has order {two_p}",
     )
     for sub in subs:
-        if not atlas.semidirect_p_form(sub, p):
+        if not semidirect(sub):
             continue
-        if atlas.is_abelian_subgroup(sub):
+        if is_abelian(sub):
             continue
         if sub.size != two_p:
             claim2 = ClaimResult(
@@ -647,9 +671,9 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
     for sub in subs:
         if sub.size % two_p != 0 or sub.size == atlas.n:
             continue
-        if not any(d.mask & sub.mask == d.mask for d in dihedrals):
+        if not contains_dihedral(sub):
             continue
-        if atlas.is_quasi_p(sub, p):
+        if quasi_p(sub):
             claim3 = ClaimResult(
                 "quasi-p-above-dihedral-is-whole",
                 "fail",

@@ -1,9 +1,14 @@
 """Command line behavior: payloads, exit codes, determinism, formats."""
 
 import json
+from fractions import Fraction
+from itertools import product
+from math import gcd
 
 from wildram import cli
 from wildram.cli import main
+from wildram.psl2 import InertiaType
+from wildram.ramification import enumerate_admissible
 from wildram.towers import parse_tower_spec
 
 
@@ -77,6 +82,37 @@ def test_enumerate_json_and_csv(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["index,jumps", "0,1/2", "1,3/2"]
+
+
+def test_enumerate_refuses_above_the_limit(capsys):
+    # 122700 sequences, 2.5 MB and 3.5 s of output before the limit
+    code, payload = run_json(
+        capsys, "enumerate", "--p", "3", "--m", "1", "--r", "3", "--bound", "400"
+    )
+    assert code == 0
+    assert payload["status"] == "refused" and payload["limit"] == cli.ENUMERATION_LIMIT
+    assert "not enumerated" in payload["reason"]
+    assert "sequences" not in payload and "count" not in payload
+    # a bound far past the limit is refused as cheaply
+    code, payload = run_json(
+        capsys, "enumerate", "--p", "3", "--m", "1", "--r", "2", "--bound", "9" * 60
+    )
+    assert code == 0 and payload["status"] == "refused"
+
+
+def test_enumeration_bound_holds_and_admits_every_small_request():
+    # a true upper bound on the count, down to the empty enumerations
+    for p, m, r, bound in product((3, 5, 7), (1, 2, 4), (1, 2, 3), (Fraction(1, 2), 3, 20, 60)):
+        inertia = InertiaType(p=p, r=r, m=m, m_I=gcd(m, p - 1))
+        assert cli._enumeration_bound(inertia, bound) >= len(enumerate_admissible(inertia, bound))
+    # r <= 2 and bound <= 20, the requests check-all, the tests and the benchmark send
+    for p, m, r in product((3, 5, 7), (1, 2), (1, 2)):
+        inertia = InertiaType(p=p, r=r, m=m, m_I=gcd(m, p - 1))
+        assert cli._enumeration_bound(inertia, 20) <= cli.ENUMERATION_LIMIT
+    # the largest request of rank 1 at p = 3 sits on the limit
+    z3 = InertiaType.cyclic(3, 1)
+    assert cli._enumeration_bound(z3, cli.ENUMERATION_LIMIT) == cli.ENUMERATION_LIMIT
+    assert cli._enumeration_bound(z3, cli.ENUMERATION_LIMIT + 1) > cli.ENUMERATION_LIMIT
 
 
 def test_output_is_deterministic(capsys):

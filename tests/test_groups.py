@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from wildram import psl2
-from wildram.exactmath import vp
+from wildram.exactmath import prime_factors, vp
 from wildram.groups import ORDER_LIMIT, Subgroup
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
 from wildram.tails import SmallGroup, generation_obstruction
@@ -226,6 +226,85 @@ def test_check_subgroups_closed_fails_on_a_damaged_list():
     g._subgroups = full[:k] + [replace(sub, generators=cyclic.generators)] + full[k + 1 :]
     assert not g.check_subgroups_closed()
     assert _all_pairs_closed(g)  # the product test cannot see it
+
+
+# -- the conjugacy classes the subgroup search records
+
+
+def _classes(g):
+    """The recorded classes, each a list of listed subgroups in list order."""
+    classes = {}
+    for sub in g.subgroups():
+        classes.setdefault(g.class_number(sub), []).append(sub)
+    return classes
+
+
+def _make(kind, args):
+    return psl2_atlas(*args) if kind == "psl2" else build(kind, args)
+
+
+def _primes(g):
+    """The odd primes of the group order, but ell on PSL2(F_ell)."""
+    return [p for p in prime_factors(g.n) if p not in (2, getattr(g, "ell", None))]
+
+
+CLASS_GROUPS = [("psl2", (ell,)) for ell in (5, 7, 11, 13)] + SHAPES
+
+
+@pytest.mark.parametrize("kind,args", CLASS_GROUPS)
+def test_recorded_classes_are_the_conjugacy_classes(kind, args):
+    g = _make(kind, args)
+    subs = g.subgroups()
+    classes = _classes(g)
+    # numbered 0, 1, ... by first member in list order, and a partition
+    assert list(classes) == list(range(len(classes)))
+    assert sum(len(members) for members in classes.values()) == len(subs)
+    # each class is the conjugacy class of its first member, closed here
+    # under conjugation by a generating set with maps built by this test
+    mul, inv = g.mul, g.inverses
+    conjugators = [
+        [mul(mul(a, x), inv[a]) for x in range(g.n)] for a in g._generating_set(range(g.n))
+    ]
+    for members in classes.values():
+        first = members[0]
+        expected = g._conjugacy_class(first.ids, first.mask, conjugators)
+        assert sorted(s.mask for s in members) == sorted(expected), first
+
+
+@pytest.mark.parametrize("kind,args", CLASS_GROUPS)
+def test_claim_predicates_are_constant_on_classes(kind, args):
+    g = _make(kind, args)
+    subs = g.subgroups()
+    classes = _classes(g)
+    for p in _primes(g):
+        dihedrals = [s for s in subs if s.size == 2 * p and not g.is_abelian_subgroup(s)]
+        predicates = [
+            g.is_abelian_subgroup,
+            lambda s: g.semidirect_p_form(s, p),
+            lambda s: g.is_quasi_p(s, p),
+            lambda s: any(d.mask & s.mask == d.mask for d in dihedrals),
+        ]
+        for predicate in predicates:
+            for members in classes.values():
+                assert len({predicate(s) for s in members}) == 1, (p, members[0])
+
+
+# PSL2 and every dihedral shape, Z/p^r x| Z/2 with Z/2 acting by inversion
+INVOLUTION_GROUPS = [("psl2", (7,)), ("psl2", (11,))] + [
+    (kind, args) for kind, args in SHAPES if kind == "semidirect" and args[2:] == (2,)
+]
+
+
+@pytest.mark.parametrize("kind,args", INVOLUTION_GROUPS)
+def test_two_involutions_generate_a_dihedral_group(kind, args):
+    # the rule _first_generating_pair settles involution pairs by: two
+    # distinct involutions x, y generate a group of order 2 ord(xy)
+    g = _make(kind, args)
+    involutions = [x for x in range(g.n) if g.orders[x] == 2]
+    pairs = [(x, y) for i, x in enumerate(involutions) for y in involutions[i + 1 :]]
+    assert pairs
+    for x, y in pairs:
+        assert len(g.closure_ids((x, y))) == 2 * g.orders[g.mul(x, y)], (x, y)
 
 
 def test_semidirect_p_form_on_a_group_of_order_p():

@@ -250,6 +250,51 @@ def test_subgroup_claims_5_11_exhibits_small_p_failure():
     assert witness["size"] == 60
 
 
+def _claims_per_subgroup(p, ell):
+    """verify_subgroup_claims(p, ell).to_dict() as a loop that asks every
+    predicate of every listed subgroup, with no use of the classes."""
+    atlas = psl2_atlas(ell)
+    subs, two_p = atlas.subgroups(), 2 * p
+
+    def witness(sub):
+        return {
+            "size": sub.size,
+            "generators": [list(atlas.elements[g]) for g in sub.generators] or "cyclic",
+        }
+
+    dihedrals = [s for s in subs if s.size == two_p and not atlas.is_abelian_subgroup(s)]
+    claim1 = {"claim": "dihedral-exists", "status": "fail",
+              "summary": f"no nonabelian subgroup of order {two_p}"}
+    if dihedrals:
+        claim1 = {"claim": "dihedral-exists", "status": "pass",
+                  "summary": f"found {len(dihedrals)} dihedral subgroups of order {two_p}",
+                  "witness": witness(dihedrals[0])}
+    claim2 = {"claim": "semidirect-form-is-dihedral", "status": "pass",
+              "summary": f"every nonabelian Z/{p} x| Z/m subgroup has order {two_p}"}
+    bad = [s for s in subs if atlas.semidirect_p_form(s, p)
+           and not atlas.is_abelian_subgroup(s) and s.size != two_p]
+    if bad:
+        size = bad[0].size
+        claim2 = {"claim": "semidirect-form-is-dihedral", "status": "fail",
+                  "summary": f"nonabelian Z/{p} x| Z/{size // p} subgroup of order {size}",
+                  "witness": witness(bad[0])}
+    claim3 = {"claim": "quasi-p-above-dihedral-is-whole", "status": "pass",
+              "summary": f"every quasi-{p} subgroup containing a D_{p} is the whole group"}
+    bad = [s for s in subs if s.size < atlas.n and atlas.is_quasi_p(s, p)
+           and any(set(d.ids) <= set(s.ids) for d in dihedrals)]
+    if bad:
+        claim3 = {"claim": "quasi-p-above-dihedral-is-whole", "status": "fail",
+                  "summary": f"proper quasi-{p} subgroup of order {bad[0].size} contains a D_{p}",
+                  "witness": witness(bad[0])}
+    return {"p": p, "ell": ell, "group_order": atlas.n, "budget": 2000, "status": "checked",
+            "subgroup_count": len(subs), "claims": [claim1, claim2, claim3]}
+
+
+@pytest.mark.parametrize("p,ell", [(3, 5), (3, 7), (3, 11), (5, 11), (3, 13), (7, 13)])
+def test_claims_per_class_match_a_per_subgroup_loop(p, ell):
+    assert verify_subgroup_claims(p, ell).to_dict() == _claims_per_subgroup(p, ell)
+
+
 def test_subgroup_claims_budget_refusal():
     report = verify_subgroup_claims(7, 97)
     assert report.status == "refused"
