@@ -52,12 +52,20 @@ EXIT_USAGE = 2
 # that one `enumerate` request may ask for; a larger request is refused.
 ENUMERATION_LIMIT = 100_000
 
+# The largest r of an inertia type Z/p^r x| Z/m a request may name.  Its
+# label and group order hold p^r, which is built before any other check, so
+# r is refused first: --r 10^12 would build 3^(10^12).  At this limit p^r has
+# at most 100 times the digits of p.
+R_LIMIT = 100
+
 
 def _parse_jumps(text: str) -> JumpSequence:
     return JumpSequence.from_strings([part for part in text.split(",") if part.strip()])
 
 
 def _inertia_from_args(args, r: int) -> InertiaType:
+    if r > R_LIMIT:
+        raise ValueError(f"r = {r} exceeds the limit {R_LIMIT}")
     m_I = args.mI if args.mI is not None else gcd(args.m, args.p - 1)
     return InertiaType(p=args.p, r=r, m=args.m, m_I=m_I)
 

@@ -199,14 +199,14 @@ class FiniteGroup:
             for sub in cyclic:
                 found.setdefault(sub.mask, sub)
             new: dict[int, tuple[int, ...]] = {}
-            conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
+            conjugators = [self._conjugation(g) for g in self._generating_set(self.n)]
             cyclic_of = self._cyclic_of
             maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
             orbits = self._cyclic_orbits(maps)
             # the conjugacy classes as the search meets them, as lists of masks
             classes = [[whole.mask]] + [[cyclic[c].mask for c in cls] for cls in orbits]
             for cls in orbits:
-                for ids in self._extensions(cyclic[cls[0]]):
+                for ids in self._extensions(cyclic[cls[0]], len(cls)):
                     if len(ids) == self.n:
                         continue  # the whole group, found already
                     mask = _mask(ids)
@@ -237,16 +237,28 @@ class FiniteGroup:
         mul, g_inverse = self.mul, self.inverses[g]
         return [mul(mul(g, x), g_inverse) for x in range(self.n)]
 
-    def _generating_set(self, ids) -> list[int]:
-        """Elements of the subgroup ``ids`` that generate it, picked greedily;
-        each one at least doubles the closure, so there are at most log2 |ids|."""
+    def _generating_set(self, order: int, member=None) -> list[int]:
+        """Generators of a subgroup K of the given order, picked greedily in
+        id order: each id not yet in the closure of those kept is asked
+        ``member`` (is it in K? None for K the whole group) and kept if so.
+        Each kept id at least doubles the closure, so there are at most
+        log2 |K|; the walk stops once the closure has ``order`` elements, so
+        the ids after the last generator are never asked.  The kept ids are
+        those of a walk over all of K, since an id the walk skips as reached
+        is in K.  RuntimeError if the ids in K generate a subgroup of another
+        order: ``order`` was wrong."""
         gens = []
         reached = {self.identity_id}
-        for g in ids:
-            if g in reached:
-                continue
-            gens.append(g)
-            reached = set(self.closure_ids(gens))
+        for g in range(self.n):
+            if len(reached) == order:
+                break
+            if g not in reached and (member is None or member(g)):
+                gens.append(g)
+                reached = set(self.closure_ids(gens))
+        if len(reached) != order:
+            raise RuntimeError(
+                f"the generating set reaches {len(reached)} elements, not the expected {order}"
+            )
         return gens
 
     def _cyclic_orbits(self, maps, skip=None) -> list[list[int]]:
@@ -271,24 +283,35 @@ class FiniteGroup:
             orbits.append(orbit)
         return orbits
 
-    def _extensions(self, sub: Subgroup):
+    def _extensions(self, sub: Subgroup, class_size: int):
         """Yield <H, y>, H = sub, for one cyclic <y> per N(H)-orbit, skipping
         any <y> nested with H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H),
         these stand for every <H, y'> up to conjugacy.  The cyclic subgroups
         inside H form whole N(H)-orbits and are left out before the orbits
         are taken, only the generators of the others are conjugated, and a
-        closure that _proves_whole proves whole is not searched."""
+        closure that _proves_whole proves whole is not searched.
+
+        ``class_size`` is the number of conjugates of H, so |N(H)| is
+        n / class_size (orbit-stabilizer) and the generators of N(H) are
+        found by a scan that stops there (_generating_set).  The trivial
+        subgroup and the whole group are not extended: every <y> holds the
+        one and lies in the other."""
         n, mul, inverses = self.n, self.mul, self.inverses
+        if sub.size in (1, n):
+            return
         inside = bytearray(n)
         for x in sub.ids:
             inside[x] = 1
-        normalizer = range(n)
-        for h in sub.generators:  # g normalizes H iff g h g^-1 is in H for each generator h
-            normalizer = [g for g in normalizer if inside[mul(mul(g, h), inverses[g])]]
+        hs = sub.generators
+
+        def normalizes(g):  # g normalizes H iff g h g^-1 is in H for each generator h
+            g_inverse = inverses[g]
+            return all(inside[mul(mul(g, h), g_inverse)] for h in hs)
+
         cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
         skip = bytes(inside[cy.generators[0]] for cy in cyclic)
         maps = []
-        for g in self._generating_set(normalizer):
+        for g in self._generating_set(n // class_size, normalizes):
             g_inverse = inverses[g]
             maps.append([
                 None if skip[c] else cyclic_of[mul(mul(g, cy.generators[0]), g_inverse)]
@@ -397,7 +420,7 @@ class FiniteGroup:
         listed = {s.ids for s in subs}
         if any(c.ids not in listed for c in self.cyclic_subgroups()):
             return False
-        conjugators = [self._conjugation(g) for g in self._generating_set(range(self.n))]
+        conjugators = [self._conjugation(g) for g in self._generating_set(self.n)]
         seen: set[int] = set()
         for sub in subs:
             if sub.mask in seen:
@@ -406,7 +429,7 @@ class FiniteGroup:
             if any(ids not in listed for ids in conjugates.values()):
                 return False
             seen.update(conjugates)
-            if any(ids not in listed for ids in self._extensions(sub)):
+            if any(ids not in listed for ids in self._extensions(sub, len(conjugates))):
                 return False
         return True
 

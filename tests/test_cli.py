@@ -1,6 +1,7 @@
 """Command line behavior: payloads, exit codes, determinism, formats."""
 
 import json
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -98,6 +99,33 @@ def test_enumerate_refuses_above_the_limit(capsys):
         capsys, "enumerate", "--p", "3", "--m", "1", "--r", "2", "--bound", "9" * 60
     )
     assert code == 0 and payload["status"] == "refused"
+
+
+def test_huge_r_is_refused_before_p_to_the_r_is_built(capsys):
+    # --r 10^12 hung building 3^(10^12) for the label; every command that
+    # takes an inertia type refuses it at once with a one-line error
+    huge = str(10**12)
+    requests = [
+        ("enumerate", "--p", "3", "--m", "1", "--r", huge, "--bound", "5"),
+        ("genus", "--order", "1092", "--p", "7", "--m", "1", "--r", huge, "--jumps", "7"),
+        ("base-sigma", "--p", "7", "--ell", "97", "--m", "2", "--r", huge),
+    ]
+    for argv in requests:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: r = {huge} exceeds the limit {cli.R_LIMIT}\n"
+    # admissible takes r from the number of jumps
+    jumps = ",".join(f"{k}/2" for k in range(1, cli.R_LIMIT + 2))
+    code, out, err = run(capsys, "admissible", "--p", "7", "--m", "2", "--jumps", jumps)
+    assert code == 2 and out == "" and "exceeds the limit" in err
+    # the limit itself is served
+    code, payload = run_json(
+        capsys, "enumerate", "--p", "3", "--m", "1", "--r", str(cli.R_LIMIT), "--bound", "5"
+    )
+    assert code == 0 and payload["count"] == 0
+    assert payload["inertia"]["label"] == f"Z/{3 ** cli.R_LIMIT}"
 
 
 def test_enumeration_bound_holds_and_admits_every_small_request():

@@ -263,7 +263,7 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
     # under conjugation by a generating set with maps built by this test
     mul, inv = g.mul, g.inverses
     conjugators = [
-        [mul(mul(a, x), inv[a]) for x in range(g.n)] for a in g._generating_set(range(g.n))
+        [mul(mul(a, x), inv[a]) for x in range(g.n)] for a in g._generating_set(g.n)
     ]
     for members in classes.values():
         first = members[0]
@@ -427,3 +427,90 @@ def test_a_chain_that_loses_its_generators_is_caught(monkeypatch):
         g._proves_whole(whole)
     with pytest.raises(RuntimeError, match="stabilizer chain"):
         g.subgroups()
+
+
+# -- the normalizer scan of the extension step, stopped at n / |class|
+
+
+def _bfs(g, gens):
+    """The elements of <gens>, closed here by breadth-first search on ``mul``."""
+    seen, frontier = {g.identity_id}, [g.identity_id]
+    while frontier:
+        frontier = [y for y in {g.mul(x, s) for x in frontier for s in gens} if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def _greedy_generators(g, ids):
+    """The generating set the scan over all of ``ids`` picks: each id in
+    order that is not yet in the closure of those kept."""
+    gens, reached = [], {g.identity_id}
+    for x in ids:
+        if x not in reached:
+            gens.append(x)
+            reached = _bfs(g, gens)
+    return gens
+
+
+def _brute_normalizer(g, sub):
+    """Every g with g H g^-1 = H, tested on each element of H."""
+    mul, inverses, inside = g.mul, g.inverses, set(sub.ids)
+    return [
+        a for a in range(g.n) if all(mul(mul(a, h), inverses[a]) in inside for h in sub.ids)
+    ]
+
+
+def _scanned_normalizer_generators(g, sub, class_size):
+    """The generators of N(H) the extension step keeps, caught as they leave
+    _generating_set, or None when the step does not scan."""
+    kept = []
+    scan = g._generating_set
+
+    def record(order, member=None):
+        kept.append(scan(order, member))
+        return kept[-1]
+
+    g._generating_set = record
+    try:
+        extensions = list(g._extensions(sub, class_size))
+    finally:
+        del g._generating_set
+    assert len(kept) <= 1
+    return (kept[0] if kept else None), extensions
+
+
+@pytest.mark.parametrize("kind,args", CLASS_GROUPS)
+def test_stopped_normalizer_scan_matches_the_full_scan(kind, args):
+    g = _make(kind, args)
+    assert g._generating_set(g.n) == _greedy_generators(g, range(g.n))
+    for members in _classes(g).values():
+        sub, class_size = members[0], len(members)
+        gens, extensions = _scanned_normalizer_generators(g, sub, class_size)
+        if sub.size in (1, g.n):
+            # the trivial subgroup and the whole group are never extended
+            assert gens is None and extensions == []
+            continue
+        normalizer = _brute_normalizer(g, sub)
+        assert len(normalizer) * class_size == g.n  # orbit-stabilizer
+        assert gens == _greedy_generators(g, normalizer), sub
+        assert _bfs(g, gens) == set(normalizer), sub
+
+
+@pytest.mark.parametrize("kind,args", [("psl2", (7,)), ("semidirect", (3, 2, 2))])
+def test_a_class_size_too_small_is_caught(kind, args, monkeypatch):
+    # one conjugate dropped from each class the certificate meets: the scan
+    # then looks for a normalizer larger than N(H), runs out of ids, and
+    # refuses instead of extending by a subgroup of the wrong order
+    g = Psl2Atlas(*args) if kind == "psl2" else build(kind, args)
+    g.subgroups()
+    conjugacy_class = g._conjugacy_class
+
+    def short(ids, mask, conjugators):
+        found = conjugacy_class(ids, mask, conjugators)
+        if len(found) > 1:
+            found.pop(next(m for m in found if m != mask))
+        return found
+
+    monkeypatch.setattr(g, "_conjugacy_class", short)
+    with pytest.raises(RuntimeError, match="not the expected"):
+        g.three_generator_stability()

@@ -230,6 +230,25 @@ def test_subgroup_claims_7_13():
     ]
 
 
+@pytest.mark.parametrize("p,ell,budget", [(3, 11, 23095), (7, 13, 30317)])
+def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
+    # a work budget with no timing noise: the group products of a cold run,
+    # atlas build included, counted at Psl2Atlas.mul
+    mul, count = Psl2Atlas.mul, [0]
+
+    def counting(atlas, a, b):
+        count[0] += 1
+        return mul(atlas, a, b)
+
+    psl2_atlas.cache_clear()
+    monkeypatch.setattr(Psl2Atlas, "mul", counting)
+    try:
+        assert verify_subgroup_claims(p, ell).status == "checked"
+    finally:
+        psl2_atlas.cache_clear()
+    assert count[0] <= budget
+
+
 def test_subgroup_claims_3_5():
     report = verify_subgroup_claims(3, 5)
     assert report.all_passed
