@@ -6,7 +6,8 @@ unbounded integer parts.  This module adds the pieces the rest of the
 package needs on top of that:
 
 * p-adic valuation of nonzero integers,
-* univariate polynomials over F_p as exact coefficient tuples,
+* univariate polynomials over F_p as exact coefficient tuples, multiplied
+  by Kronecker substitution (``mul_coeffs``),
 * Artin-Schreier reduction of such polynomials, i.e. rewriting modulo the
   image of w -> w^p - w until every positive term degree is prime to p.
 
@@ -96,6 +97,31 @@ def least_nonresidue(p: int) -> int:
     raise RuntimeError(f"no nonresidue found mod {p}")  # unreachable for odd p
 
 
+def _pack(coeffs, w: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
+
+
+def mul_coeffs(a, b, modulus: int) -> list[int]:
+    """Product of two coefficient sequences (low degree first, entries in
+    [0, modulus)), reduced mod modulus; [] when either is empty.
+
+    Kronecker substitution: each side becomes one integer with a slot of w
+    bytes per coefficient, the integers are multiplied once (CPython's
+    Karatsuba, or its squaring when b is a), and the slots of the product
+    are read back.  An exact product coefficient is at most
+    min(len a, len b) (modulus - 1)^2, so w bytes that hold this bound keep
+    the slots from overlapping.
+    """
+    if not a or not b:
+        return []
+    w = ((min(len(a), len(b)) * (modulus - 1) ** 2).bit_length() + 7) // 8
+    big_a = _pack(a, w)
+    big_b = big_a if b is a else _pack(b, w)
+    n = (len(a) + len(b) - 1) * w
+    data = (big_a * big_b).to_bytes(n, "little")
+    return [int.from_bytes(data[i : i + w], "little") % modulus for i in range(0, n, w)]
+
+
 @dataclass(frozen=True)
 class FpPolynomial:
     """Univariate polynomial over F_p.
@@ -171,16 +197,9 @@ class FpPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
+        """Product over F_p by one Kronecker multiply (see mul_coeffs)."""
         self._check_same(other)
-        if self.is_zero or other.is_zero:
-            return FpPolynomial.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPolynomial(self.p, tuple(out))
+        return FpPolynomial(self.p, tuple(mul_coeffs(self.coeffs, other.coeffs, self.p)))
 
     def scale(self, c: int) -> "FpPolynomial":
         return FpPolynomial(self.p, tuple(x * c % self.p for x in self.coeffs))
@@ -211,33 +230,32 @@ class FpPolynomial:
 def as_reduce_with_witness(g: FpPolynomial) -> tuple[FpPolynomial, FpPolynomial]:
     """Canonical representative of g modulo the image of w -> w^p - w.
 
-    Repeatedly rewrites a term c*x^(kp) with k >= 1 as c*x^k; over F_p the
-    p-th root of a coefficient is the coefficient itself.  Returns
-    (reduced, w) with g - (w^p - w) = reduced.  Every positive term degree
-    of the reduced polynomial is prime to p, so its degree is prime to p or
-    it is constant.
+    Rewrites each term c*x^(kp) with k >= 1 as c*x^k; over F_p the p-th
+    root of a coefficient is the coefficient itself.  Returns (reduced, w)
+    with g - (w^p - w) = reduced.  Every positive term degree of the reduced
+    polynomial is prime to p, so its degree is prime to p or it is constant.
+
+    One descending sweep over the multiples of p does every rewrite, in the
+    order that rewriting the largest reducible degree first would: a
+    rewrite only lands at a lower degree, which the sweep has yet to reach.
+    So the cost is linear in the degree, and each w coefficient is written
+    once.
     """
     p = g.p
     if p == 2:
         raise ValueError("reduction is defined for odd characteristic")
-    work = {d: c for d, c in g.terms()}
-    shift: dict[int, int] = {}
-    while True:
-        reducible = [d for d in work if d >= p and d % p == 0]
-        if not reducible:
-            break
-        d = max(reducible)
-        c = work.pop(d)
-        k = d // p
-        shift[k] = (shift.get(k, 0) + c) % p
-        nc = (work.get(k, 0) + c) % p
-        if nc:
-            work[k] = nc
-        else:
-            work.pop(k, None)
-    reduced = FpPolynomial.from_terms(p, work)
-    witness = FpPolynomial.from_terms(p, shift)
-    return reduced, witness
+    work = list(g.coeffs)
+    shift = [0] * (len(work) // p + 1)
+    for d in range((len(work) - 1) // p * p, p - 1, -p):
+        c = work[d]
+        if c:
+            work[d] = 0
+            k = d // p
+            shift[k] = c
+            work[k] = (work[k] + c) % p
+    if not any(shift):
+        return g, FpPolynomial.zero(p)
+    return FpPolynomial(p, tuple(work)), FpPolynomial(p, tuple(shift))
 
 
 def as_reduce(g: FpPolynomial) -> FpPolynomial:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd
+from itertools import zip_longest
+from math import gcd
 
-from .exactmath import FpPolynomial, as_reduce_with_witness, is_prime
+from .exactmath import FpPolynomial, as_reduce_with_witness, is_prime, mul_coeffs
 from .psl2 import InertiaType
 from .ramification import JumpSequence, deformation_compatible, upper_from_lower
 
@@ -130,34 +130,40 @@ def oracle_supported(t: TowerSpec) -> bool:
 WittVector = tuple[FpPolynomial, FpPolynomial]
 
 
-@lru_cache(maxsize=None)
-def _carry_coefficients(p: int) -> tuple[int, ...]:
-    # binom(p, i) / p mod p for i = 1..p-1; exact integer division
-    return tuple(comb(p, i) // p % p for i in range(1, p))
+def _power_mod(coeffs, e: int, modulus: int) -> list[int]:
+    """coeffs^e mod modulus for e >= 1, by square-and-multiply on
+    mul_coeffs: floor(log2 e) squarings and popcount(e) - 1 products."""
+    out = list(coeffs)
+    for bit in bin(e)[3:]:
+        out = mul_coeffs(out, out, modulus)
+        if bit == "1":
+            out = mul_coeffs(out, coeffs, modulus)
+    return out
 
 
 def witt_carry(a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
     """(a^p + b^p - (a + b)^p) / p as a polynomial over F_p.
 
-    Sums the coefficient row binom(p, i)/p mod p of a^i b^(p-i); the
-    second wild layer of a tower reads y_2^p - y_2 = x_2 - carry(y_1^p, -y_1),
-    so x_2 enters that equation only through the lone linear term.
+    Computed from the ghost-component identity itself: with A and B the
+    lifts of a and b to coefficients in [0, p), the three p-th powers are
+    taken mod p^2 by square-and-multiply on mul_coeffs, which is sound since
+    A = A' mod p implies A^p = A'^p mod p^2.  That is
+    3 (floor(log2 p) + popcount(p) - 1) products, against 3p - 5 for the sum
+    of binom(p, i)/p a^i b^(p-i).  The second wild layer of a tower reads
+    y_2^p - y_2 = x_2 - carry(y_1^p, -y_1), so x_2 enters that equation only
+    through the lone linear term.
     """
     p = a.p
     if b.p != p:
         raise ValueError("carry of polynomials over the wrong field")
     if a.is_zero or b.is_zero:
         return FpPolynomial.zero(p)
-    coeffs = _carry_coefficients(p)
-    pow_a = [a]
-    pow_b = [b]
-    for _ in range(p - 2):
-        pow_a.append(pow_a[-1] * a)
-        pow_b.append(pow_b[-1] * b)
-    total = FpPolynomial.zero(p)
-    for i in range(1, p):
-        total = total + (pow_a[i - 1] * pow_b[p - i - 1]).scale(coeffs[i - 1])
-    return -total
+    q = p * p
+    total = [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)]
+    pa, pb, ps = (_power_mod(c, p, q) for c in (a.coeffs, b.coeffs, total))
+    return FpPolynomial(
+        p, tuple((x + y - z) % q // p for x, y, z in zip_longest(pa, pb, ps, fillvalue=0))
+    )
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
@@ -245,7 +251,9 @@ def oracle_jumps(t: TowerSpec) -> JumpSequence:
 def deform(t: TowerSpec, target: JumpSequence, scale: int = 1) -> TowerSpec:
     """Add scale * x^(m u_i') to x_i whenever u_i' > p u_{i-1}' and
     u_i' > u_i; other layers are untouched.  The added monomial strictly
-    dominates deg(x_i), so any nonzero scale realizes the target."""
+    dominates deg(x_i), so any nonzero scale realizes the target.  A
+    monomial that would pass TOWER_SIZE_LIMIT is refused before it is
+    built, so every deformed tower reads back from its file."""
     base = predicted_jumps(t)
     inertia = inertia_type_of(t)
     if not deformation_compatible(inertia, base, target):
@@ -259,6 +267,7 @@ def deform(t: TowerSpec, target: JumpSequence, scale: int = 1) -> TowerSpec:
         if target[i] > t.p * prev and target[i] > base[i]:
             n = t.m * target[i]
             assert n.denominator == 1
+            _check_tower_size(t.p, int(n), i + 1)
             bump = FpPolynomial.monomial(t.p, scale, int(n))
             new = poly + bump
             if new.degree != int(n):
@@ -320,6 +329,19 @@ def verify_deformation(t: TowerSpec, target: JumpSequence, scale: int = 1) -> De
 # Flat text format: line 1 "p m r residue_class", then one coefficient list
 # per layer, low degree first, decimal residues.
 
+# Cap on p * (largest layer degree) of a tower file.  The oracle's carries
+# reach degree p * deg(x_1); at the cap a dense raw r = 2 tower takes 1.5 to
+# 3.5 s and under 35 MB in tower-oracle, for every p (2-vCPU host).
+TOWER_SIZE_LIMIT = 65536
+
+
+def _check_tower_size(p: int, degree, layer: int) -> None:
+    if p * degree > TOWER_SIZE_LIMIT:
+        raise ValueError(
+            f"x_{layer}: p * degree = {p} * {degree} exceeds the tower size limit"
+            f" {TOWER_SIZE_LIMIT}"
+        )
+
 
 def format_tower_spec(t: TowerSpec) -> str:
     lines = [f"{t.p} {t.m} {t.r} {t.residue_class}"]
@@ -341,8 +363,12 @@ def parse_tower_spec(text: str) -> TowerSpec:
         raise ValueError(f"malformed header {lines[0]!r}") from exc
     if len(lines) < 1 + r:
         raise ValueError(f"expected {r} coefficient lines, found {len(lines) - 1}")
+    # every layer has p * max(1, degree) within the cap; checking p alone
+    # first keeps a huge p from reaching the primality test
+    if p > TOWER_SIZE_LIMIT:
+        raise ValueError(f"p = {p} exceeds the tower size limit {TOWER_SIZE_LIMIT}")
     polys = []
-    for line in lines[1 : 1 + r]:
+    for i, line in enumerate(lines[1 : 1 + r], start=1):
         try:
             coeffs = tuple(int(x) for x in line.split())
         except ValueError as exc:
@@ -350,6 +376,7 @@ def parse_tower_spec(text: str) -> TowerSpec:
         if not coeffs:
             raise ValueError("empty coefficient line; write a lone 0 for the zero layer")
         polys.append(FpPolynomial(p, coeffs))
+        _check_tower_size(p, polys[-1].degree, i)
     extra = [line for line in lines[1 + r :] if line.strip()]
     if extra:
         raise ValueError(f"unexpected trailing content: {extra[0]!r}")

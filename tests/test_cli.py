@@ -10,7 +10,7 @@ from wildram import cli
 from wildram.cli import main
 from wildram.psl2 import InertiaType
 from wildram.ramification import enumerate_admissible
-from wildram.towers import parse_tower_spec
+from wildram.towers import TOWER_SIZE_LIMIT, parse_tower_spec
 
 
 def run(capsys, *argv):
@@ -205,6 +205,53 @@ def test_corrupted_spec_file_is_usage_error(tmp_path, capsys):
     spec_path.write_text("7 2\nnot numbers\n", encoding="ascii")
     code, out, err = run(capsys, "tower-predict", "--spec", str(spec_path))
     assert code == 2 and "error" in err
+
+
+def test_tower_size_cap(tmp_path, capsys):
+    # p * (largest layer degree) may reach the cap and not pass it; a file
+    # past the cap is refused before any polynomial is built or carried
+    p = 13
+    at_cap = TOWER_SIZE_LIMIT // p
+
+    def layer(degree):
+        return " ".join(["0"] * degree + ["1"])
+
+    served = tmp_path / "at_cap.txt"
+    served.write_text(f"{p} 1 2 0\n{layer(1)}\n{layer(at_cap)}\n", encoding="ascii")
+    code, payload = run_json(capsys, "tower-oracle", "--spec", str(served))
+    assert code == 0 and payload["jumps"] == ["1", str(at_cap)]
+
+    past = [
+        (tmp_path / "past_degree.txt", f"{p} 1 2 0\n{layer(at_cap + 1)}\n0\n"),
+        (tmp_path / "past_p.txt", f"{TOWER_SIZE_LIMIT + 1} 1 1 0\n0 1\n"),
+    ]
+    for path, text in past:
+        path.write_text(text, encoding="ascii")
+        for command in ("tower-predict", "tower-oracle"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--spec", str(path))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "tower size limit" in err
+        code, out, err = run(capsys, "deform", "--spec", str(path), "--target", "1")
+        assert code == 2 and out == "" and "tower size limit" in err
+
+    # deform refuses a target whose deformed layer would pass the cap, so
+    # every tower it writes reads back: at p = 7, m = 2 the odd degrees
+    # prime to 7 around the cap are 9361 (7 * 9361 = 65527) and 9363 (65541)
+    assert 7 * 9361 <= TOWER_SIZE_LIMIT < 7 * 9363
+    small = tmp_path / "small.txt"
+    small.write_text("7 2 1 1\n0 0 0 1\n", encoding="ascii")
+    out_path = tmp_path / "deformed.txt"
+    code, payload = run_json(
+        capsys, "deform", "--spec", str(small), "--target", "9361/2", "--out", str(out_path)
+    )
+    assert code == 0 and payload["ok"] is True
+    assert parse_tower_spec(out_path.read_text(encoding="ascii")).x_polys[0].degree == 9361
+    start = time.perf_counter()
+    code, out, err = run(capsys, "deform", "--spec", str(small), "--target", "9363/2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "tower size limit" in err
 
 
 def test_missing_file_is_usage_error(capsys):

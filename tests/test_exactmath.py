@@ -14,6 +14,7 @@ from wildram.exactmath import (
     format_rational,
     is_prime,
     least_nonresidue,
+    mul_coeffs,
     parse_rational,
     prime_factors,
     vp,
@@ -72,6 +73,54 @@ def test_polynomial_basics():
     assert g.pth_power() == FpPolynomial.from_terms(5, {15: 2})
 
 
+def schoolbook(a, b, modulus):
+    """The product oracle: every pair of terms, reduced as it goes."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % modulus
+    return out
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 13, 169, 257, 10007, 2**31 - 1])
+def test_mul_coeffs_matches_schoolbook(modulus):
+    # 257 and 10007 need two bytes per coefficient, 2^31 - 1 four, and its
+    # product slots eight or nine
+    rng = random.Random(modulus)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 9), (9, 1), (4, 17), (60, 7), (120, 120)]
+    for la, lb in shapes:
+        for fill in ("random", "top"):
+            def draw(n):
+                if fill == "top":
+                    return [modulus - 1] * n  # the slot bound is met exactly
+                return [rng.randrange(modulus) for _ in range(n)]
+
+            a, b = draw(la), draw(lb)
+            assert mul_coeffs(a, b, modulus) == schoolbook(a, b, modulus)
+            assert mul_coeffs(a, a, modulus) == schoolbook(a, a, modulus)
+            assert mul_coeffs(tuple(a), tuple(b), modulus) == schoolbook(a, b, modulus)
+
+
+@pytest.mark.parametrize("p", [3, 13, 257, 10007])
+def test_polynomial_product_matches_schoolbook(p):
+    rng = random.Random(p + 1)
+    zero = FpPolynomial.zero(p)
+    one = FpPolynomial(p, (1,))
+    cases = [(zero, zero), (zero, one), (one, zero), (one, one)]
+    for la, lb in [(1, 1), (1, 40), (40, 1), (3, 200), (1000, 1001), (5, 2001)]:
+        a = FpPolynomial(p, tuple(rng.randrange(p) for _ in range(la - 1)) + (rng.randrange(1, p),))
+        b = FpPolynomial(p, tuple(rng.randrange(p) for _ in range(lb - 1)) + (rng.randrange(1, p),))
+        cases.append((a, b))
+    for a, b in cases:
+        expect = FpPolynomial(p, tuple(schoolbook(a.coeffs, b.coeffs, p)))
+        assert a * b == expect
+        assert b * a == expect
+        if not a.is_zero and not b.is_zero:
+            assert (a * b).degree == a.degree + b.degree
+
+
 def test_as_reduce_worked_examples():
     assert as_reduce(FpPolynomial.monomial(5, 1, 5)) == FpPolynomial.monomial(5, 1, 1)
     assert as_reduce(FpPolynomial.monomial(3, 1, 6)) == FpPolynomial.monomial(3, 1, 2)
@@ -91,6 +140,41 @@ def test_as_reduce_exhaustive_minimality_oracle():
 def _random_poly(rng, p, max_degree=30, max_terms=5):
     support = rng.sample(range(max_degree + 1), k=rng.randint(1, max_terms))
     return FpPolynomial.from_terms(p, {d: rng.randint(1, p - 1) for d in support})
+
+
+def max_first_reduction(g):
+    """The reduction oracle: rescan for the largest reducible degree and
+    rewrite it, until none is left."""
+    p = g.p
+    work = {d: c for d, c in g.terms()}
+    shift = {}
+    while True:
+        reducible = [d for d in work if d >= p and d % p == 0]
+        if not reducible:
+            break
+        d = max(reducible)
+        c = work.pop(d)
+        k = d // p
+        shift[k] = (shift.get(k, 0) + c) % p
+        nc = (work.get(k, 0) + c) % p
+        if nc:
+            work[k] = nc
+        else:
+            work.pop(k, None)
+    return FpPolynomial.from_terms(p, work), FpPolynomial.from_terms(p, shift)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_as_reduce_matches_max_first_oracle(p):
+    rng = random.Random(100 + p)
+    for _ in range(200):
+        density = rng.random()
+        g = FpPolynomial(
+            p, tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(rng.randint(0, 3 * p * p)))
+        )
+        assert as_reduce_with_witness(g) == max_first_reduction(g)
+    dense = FpPolynomial(p, tuple(rng.randrange(1, p) for _ in range(2001)))
+    assert as_reduce_with_witness(dense) == max_first_reduction(dense)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

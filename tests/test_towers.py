@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from wildram import exactmath, towers
 from wildram.checks import (
     random_compatible_target,
     random_tower_spec,
@@ -16,7 +18,6 @@ from wildram.psl2 import InertiaType
 from wildram.ramification import JumpSequence, is_admissible
 from wildram.towers import (
     TowerSpec,
-    _carry_coefficients,
     deform,
     format_tower_spec,
     inertia_type_of,
@@ -132,6 +133,67 @@ def test_witt_arithmetic_identities():
             assert witt_add(u, zero) == u
 
 
+def carry_row(p):
+    # binom(p, i) / p mod p for i = 1..p-1; exact integer division
+    return tuple(comb(p, i) // p % p for i in range(1, p))
+
+
+def binomial_carry(a, b):
+    """The carry oracle: -sum over i of binom(p, i)/p a^i b^(p-i), from the
+    binomial expansion of (a + b)^p."""
+    p = a.p
+    pow_a, pow_b = [FpPolynomial(p, (1,))], [FpPolynomial(p, (1,))]
+    for _ in range(p - 1):
+        pow_a.append(pow_a[-1] * a)
+        pow_b.append(pow_b[-1] * b)
+    total = FpPolynomial.zero(p)
+    for i, c in enumerate(carry_row(p), start=1):
+        total = total + (pow_a[i] * pow_b[p - i]).scale(c)
+    return -total
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_witt_carry_matches_binomial_row(p):
+    rng = random.Random(p)
+
+    def sparse():
+        return FpPolynomial.from_terms(p, {rng.randint(0, 20): rng.randint(1, p - 1) for _ in range(3)})
+
+    def dense(n):
+        return FpPolynomial(p, tuple(rng.randrange(p) for _ in range(n)))
+
+    zero, one = FpPolynomial.zero(p), FpPolynomial(p, (1,))
+    pairs = [(zero, one), (one, zero), (one, one), (one, FpPolynomial(p, (p - 1,)))]
+    pairs += [(sparse(), sparse()) for _ in range(12)]
+    pairs += [(dense(rng.randint(1, 12)), dense(rng.randint(1, 12))) for _ in range(12)]
+    # every coefficient p - 1 makes the lift of a + b reach 2p - 2
+    full = FpPolynomial(p, (p - 1,) * 9)
+    pairs += [(full, full), (full, dense(4)), (dense(15), full)]
+    for a, b in pairs:
+        assert witt_carry(a, b) == binomial_carry(a, b)
+        assert witt_carry(a, b) == witt_carry(b, a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_witt_carry_product_budget(p, monkeypatch):
+    # a work budget with no timing noise: three p-th powers by
+    # square-and-multiply, counted at the kernel, which FpPolynomial
+    # products reach too; the binomial row takes 3p - 5 products
+    mul, count = exactmath.mul_coeffs, [0]
+
+    def counting(a, b, modulus):
+        count[0] += 1
+        return mul(a, b, modulus)
+
+    monkeypatch.setattr(exactmath, "mul_coeffs", counting)
+    monkeypatch.setattr(towers, "mul_coeffs", counting)
+    rng = random.Random(p)
+    a = FpPolynomial(p, tuple(rng.randrange(1, p) for _ in range(30)))
+    b = FpPolynomial(p, tuple(rng.randrange(1, p) for _ in range(20)))
+    witt_carry(a, b)
+    assert 0 < count[0] <= 3 * ((p.bit_length() - 1) + bin(p).count("1") - 1)
+
+
 def test_witt_carry_closed_form():
     # p = 3: (a^3 + b^3 - (a+b)^3)/3 = -(a^2 b + a b^2)
     a = poly(3, (1, 1))
@@ -141,7 +203,7 @@ def test_witt_carry_closed_form():
 
 
 def test_witt_carry_type_and_action():
-    assert _carry_coefficients(3) == (1, 1)
+    assert carry_row(3) == (1, 1)
     # sigma shifts the second layer by -carry(y^3, -y) = -y^7 + y^5
     y = poly(3, (1, 1))
     assert -witt_carry(y.pth_power(), -y) == poly(3, (7, 2), (5, 1))
@@ -175,6 +237,30 @@ def test_oracle_invariant_under_first_layer_witt_shift():
             p=spec.p, m=spec.m, r=2, x_polys=shifted, residue_class=spec.residue_class
         )
         assert oracle_jumps(shifted_spec) == oracle_jumps(spec)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_oracle_invariant_under_large_first_layer_witt_shift(p):
+    # a shift w of degree near 100 gives layers of degree near 100 p, the
+    # size of the benchmark's raw towers
+    rng = random.Random(p)
+    for m in (1, 2):
+        for j in valid_residue_classes(p, m):
+            first = [d for d in range(1, 41) if d % p and d % m == j]
+            second = [d for d in range(1, 400) if d % p and d % m == j]
+            layers = (
+                FpPolynomial.from_terms(p, {d: rng.randint(1, p - 1) for d in rng.sample(first, 3)}),
+                FpPolynomial.from_terms(p, {d: rng.randint(1, p - 1) for d in rng.sample(second, 3)}),
+            )
+            spec = TowerSpec(p=p, m=m, r=2, x_polys=layers, residue_class=j)
+            shift_deg = rng.choice([d for d in range(95, 106) if d % m == j])
+            w = FpPolynomial.from_terms(
+                p, {shift_deg: rng.randint(1, p - 1), shift_deg - m: rng.randint(1, p - 1)}
+            )
+            shifted = witt_add(layers, witt_wp((w, FpPolynomial.zero(p))))
+            assert shifted[0].degree == p * shift_deg
+            shifted_spec = TowerSpec(p=p, m=m, r=2, x_polys=shifted, residue_class=j)
+            assert oracle_jumps(shifted_spec) == oracle_jumps(spec)
 
 
 def test_oracle_invariant_under_plain_shift_r1():
