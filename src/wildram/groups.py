@@ -16,7 +16,11 @@ representative per orbit of the normalizer N(<x>) on the cyclic subgroups.
 Only those pairs are closed; each new closure brings its whole conjugacy
 class, and the search records which class each listed subgroup is in
 (``class_number``), so questions invariant under conjugation are asked
-once per class.
+once per class.  A listed subgroup is its sorted ids and a generating
+tuple: the pair its class's first closure was closed on, conjugated into
+it.  The first pair of cyclic subgroups that generates it, which a walk
+over all pairs would have met first, is searched only when asked for
+(``_first_generating_pair``).
 
 The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
@@ -34,10 +38,11 @@ from math import gcd
 
 from .exactmath import vp
 
-# The order of PSL2(F_29), the largest group either model is built for.  The
-# subgroup search holds one n-bit mask per listed subgroup: at this order
-# 10040 masks of up to 12180 bits, 14 MB.
-ORDER_LIMIT = 12180
+# The order of PSL2(F_43), the largest group either model is built for.  At
+# every ell up to 43 the PSL2 claims and both certificates of the subgroup
+# list take at most 3.6 s and 53 MB on a 2-vCPU host, at PSL2(F_41) with its
+# 36129 subgroups, and up to 2.5 times as long when that host runs slow.
+ORDER_LIMIT = 39732
 
 
 def check_order(n: int):
@@ -49,19 +54,11 @@ def check_order(n: int):
 @dataclass(frozen=True)
 class Subgroup:
     ids: tuple[int, ...]
-    mask: int
     generators: tuple[int, ...]
 
     @property
     def size(self) -> int:
         return len(self.ids)
-
-
-def _mask(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
 
 
 class FiniteGroup:
@@ -160,7 +157,7 @@ class FiniteGroup:
         return len(self.closure_ids(gens)) == self.n
 
     def whole_group(self) -> Subgroup:
-        return Subgroup(ids=self._whole_ids, mask=(1 << self.n) - 1, generators=())
+        return Subgroup(ids=self._whole_ids, generators=())
 
     def cyclic_subgroups(self) -> list[Subgroup]:
         """One Subgroup per distinct cyclic subgroup, generator = least id,
@@ -169,7 +166,7 @@ class FiniteGroup:
             found = []
             for i, powers in self._walks:
                 ids = tuple(sorted(powers))
-                found.append(Subgroup(ids=ids, mask=_mask(ids), generators=(i,)))
+                found.append(Subgroup(ids=ids, generators=(i,)))
             rank = sorted(range(len(found)), key=lambda w: (found[w].size, found[w].ids))
             position = [0] * len(found)
             for pos, w in enumerate(rank):
@@ -188,39 +185,38 @@ class FiniteGroup:
         conjugates the closure, so only pairs (class representative <x>,
         N(<x>)-orbit representative <y>) are closed, and each new closure
         is added with its conjugacy class.  A non-cyclic proper subgroup
-        carries the first pair (i < j) of cyclic subgroups, in
-        cyclic_subgroups() order, that generates it.
+        carries the pair that first closed to a member of its class,
+        conjugated into it; _first_generating_pair finds the first pair of
+        cyclic subgroups that generates it, for a subgroup that is printed.
         """
         if self._subgroups is None:
-            found: dict[int, Subgroup] = {}
             whole = self.whole_group()
-            found[whole.mask] = whole
+            found: dict[tuple[int, ...], Subgroup] = {whole.ids: whole}
             cyclic = self.cyclic_subgroups()
             for sub in cyclic:
-                found.setdefault(sub.mask, sub)
-            new: dict[int, tuple[int, ...]] = {}
+                found.setdefault(sub.ids, sub)
+            new: dict[tuple[int, ...], tuple[int, ...]] = {}  # ids -> generators
             conjugators = [self._conjugation(g) for g in self._generating_set(self.n)]
             cyclic_of = self._cyclic_of
             maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
             orbits = self._cyclic_orbits(maps)
-            # the conjugacy classes as the search meets them, as lists of masks
-            classes = [[whole.mask]] + [[cyclic[c].mask for c in cls] for cls in orbits]
+            # the conjugacy classes as the search meets them, as lists of ids
+            classes = [[whole.ids]] + [[cyclic[c].ids for c in cls] for cls in orbits]
             for cls in orbits:
-                for ids in self._extensions(cyclic[cls[0]], len(cls)):
+                for ids, gens in self._extensions(cyclic[cls[0]], len(cls)):
                     if len(ids) == self.n:
                         continue  # the whole group, found already
-                    mask = _mask(ids)
-                    if mask not in found and mask not in new:
-                        conjugates = self._conjugacy_class(ids, mask, conjugators)
+                    if ids not in found and ids not in new:
+                        conjugates = self._conjugacy_class(ids, gens, conjugators)
                         classes.append(list(conjugates))
                         new.update(conjugates)
-            for mask, ids in new.items():
-                found[mask] = Subgroup(ids, mask, self._first_generating_pair(ids))
+            for ids, gens in new.items():
+                found[ids] = Subgroup(ids, gens)
             self._subgroups = sorted(found.values(), key=lambda s: (s.size, s.ids))
-            label = {mask: k for k, cls in enumerate(classes) for mask in cls}
+            label = {ids: k for k, cls in enumerate(classes) for ids in cls}
             number: dict[int, int] = {}  # renumbered by first member in list order
             self._class_of = {
-                s.mask: number.setdefault(label[s.mask], len(number)) for s in self._subgroups
+                s.ids: number.setdefault(label[s.ids], len(number)) for s in self._subgroups
             }
         return self._subgroups
 
@@ -228,7 +224,7 @@ class FiniteGroup:
         """The conjugacy class of a listed subgroup, as recorded by the search:
         classes are numbered 0, 1, ... by their first member in subgroups()."""
         self.subgroups()
-        return self._class_of[sub.mask]
+        return self._class_of[sub.ids]
 
     # -- conjugation, used by the subgroup search
 
@@ -284,9 +280,10 @@ class FiniteGroup:
         return orbits
 
     def _extensions(self, sub: Subgroup, class_size: int):
-        """Yield <H, y>, H = sub, for one cyclic <y> per N(H)-orbit, skipping
-        any <y> nested with H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H),
-        these stand for every <H, y'> up to conjugacy.  The cyclic subgroups
+        """Yield the ids of <H, y>, H = sub, and the generators it was closed
+        on, for one cyclic <y> per N(H)-orbit, skipping any <y> nested with
+        H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H), these stand for
+        every <H, y'> up to conjugacy.  The cyclic subgroups
         inside H form whole N(H)-orbits and are left out before the orbits
         are taken, only the generators of the others are conjugated, and a
         closure that _proves_whole proves whole is not searched.
@@ -319,23 +316,24 @@ class FiniteGroup:
             ])
         for orbit in self._cyclic_orbits(maps, skip):
             cy = cyclic[orbit[0]]
-            if sub.mask & cy.mask != sub.mask:  # else H is inside <y>
-                gens = sub.generators + cy.generators
-                yield self._whole_ids if self._proves_whole(gens) else self.closure_ids(gens)
+            if cy.size % sub.size or not all(h in cy.ids for h in hs):  # else H is inside <y>
+                gens = hs + cy.generators
+                ids = self._whole_ids if self._proves_whole(gens) else self.closure_ids(gens)
+                yield ids, gens
 
     @staticmethod
-    def _conjugacy_class(ids, mask, conjugators) -> dict[int, tuple[int, ...]]:
-        """mask -> ids of every conjugate g H g^-1 of the subgroup H = ids."""
-        found = {mask: ids}
-        todo = [ids]
+    def _conjugacy_class(ids, generators, conjugators) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """ids -> generators of every conjugate g H g^-1 of the subgroup H = ids
+        generated by ``generators``: g h g^-1 for each generator h."""
+        found = {ids: generators}
+        todo = [(ids, generators)]
         while todo:
-            sub = todo.pop()
+            sub, gens = todo.pop()
             for conj in conjugators:
                 image = tuple(sorted(conj[x] for x in sub))
-                mask = _mask(image)
-                if mask not in found:
-                    found[mask] = image
-                    todo.append(image)
+                if image not in found:
+                    found[image] = image_gens = tuple(conj[h] for h in gens)
+                    todo.append((image, image_gens))
         return found
 
     def _first_generating_pair(self, ids) -> tuple[int, int]:
@@ -346,8 +344,8 @@ class FiniteGroup:
         A pair of involutions x != y is settled by one product, not a
         closure: <x, y> is the dihedral group of order 2 ord(xy).  That is
         an identity of every group (xy is inverted by x, and <x, y> is <xy>
-        and its coset x<xy>), not a fact about PSL2; check_subgroups_closed
-        still closes every stored pair."""
+        and its coset x<xy>), not a fact about PSL2; the tests compare each
+        first pair with a search that closes every pair."""
         cyclic, orders, mul = self.cyclic_subgroups(), self.orders, self.mul
         size = len(ids)
         inside = sorted({self._cyclic_of[x] for x in ids})
@@ -355,8 +353,8 @@ class FiniteGroup:
             ca = cyclic[a]
             for b in inside[k + 1 :]:
                 cb = cyclic[b]
-                if ca.mask & cb.mask in (ca.mask, cb.mask):
-                    continue
+                if cb.size % ca.size == 0 and ca.generators[0] in cb.ids:
+                    continue  # <a> is inside <b>, as a < b puts the smaller first
                 pair = ca.generators + cb.generators
                 if ca.size == cb.size == 2:
                     if 2 * orders[mul(*pair)] == size:
@@ -406,6 +404,23 @@ class FiniteGroup:
             return False
         return any(self.orders[x] == m for x in sub.ids)
 
+    def contains_dihedral(self, sub: Subgroup, p: int) -> bool:
+        """Whether the subgroup holds a dihedral group of order 2p, p odd: an
+        element x of order p and an involution t inverting it, which then
+        generate one.  t x t = x^-1 says that tx is an involution too, one
+        product per pair, and t inverts every power of x, so one x per
+        cyclic subgroup of order p is tried."""
+        self.cyclic_subgroups()
+        orders, mul, cyclic_of = self.orders, self.mul, self._cyclic_of
+        involutions = [t for t in sub.ids if orders[t] == 2]
+        tried = set()
+        for x in sub.ids:
+            if orders[x] == p and cyclic_of[x] not in tried:
+                tried.add(cyclic_of[x])
+                if any(orders[mul(t, x)] == 2 for t in involutions):
+                    return True
+        return False
+
     # -- completeness certificates of the subgroup search
 
     def three_generator_stability(self) -> bool:
@@ -418,18 +433,21 @@ class FiniteGroup:
         """
         subs = self.subgroups()
         listed = {s.ids for s in subs}
+        n = self.n
         if any(c.ids not in listed for c in self.cyclic_subgroups()):
             return False
         conjugators = [self._conjugation(g) for g in self._generating_set(self.n)]
-        seen: set[int] = set()
+        seen: set[tuple[int, ...]] = set()
         for sub in subs:
-            if sub.mask in seen:
+            if sub.ids in seen:
                 continue
-            conjugates = self._conjugacy_class(sub.ids, sub.mask, conjugators)
-            if any(ids not in listed for ids in conjugates.values()):
+            conjugates = self._conjugacy_class(sub.ids, sub.generators, conjugators)
+            if any(ids not in listed for ids in conjugates):
                 return False
             seen.update(conjugates)
-            if any(ids not in listed for ids in self._extensions(sub, len(conjugates))):
+            # a whole closure is listed; its n ids are not hashed to say so
+            extensions = self._extensions(sub, len(conjugates))
+            if any(len(ids) < n and ids not in listed for ids, _ in extensions):
                 return False
         return True
 

@@ -18,11 +18,14 @@ subgroup generated by at most two elements.  It closes one pair of cyclic
 subgroups per conjugacy class of such pairs and adds each closure's
 conjugates, which gives the same list as closing every pair, and the
 subgroup claims are answered from that complete list, one question per
-conjugacy class of subgroups since each is invariant under conjugation.  A
+conjugacy class of subgroups since each is invariant under conjugation
+("above a D_p": an element of order p and an involution inverting it).  A
 closure that reaches the whole group is proven whole by a stabilizer chain
 of its generators' action on the projective line P^1(F_l) instead of being
-searched; every other closure is still searched.  No budget admits a group
-above ORDER_LIMIT elements.
+searched; every other closure is still searched.  A printed witness names
+the first pair of cyclic subgroups that generates it, searched for that
+subgroup only.  No budget admits a group above ORDER_LIMIT elements, the
+order of PSL2(F_43).
 """
 
 from __future__ import annotations
@@ -570,9 +573,15 @@ class SubgroupReport:
 
 
 def _subgroup_witness(atlas: Psl2Atlas, sub: Subgroup) -> dict:
+    """The subgroup's size and generator matrices: the first pair of cyclic
+    subgroups that generates it (FiniteGroup._first_generating_pair),
+    searched only here, or the generator of a cyclic subgroup."""
+    gens = sub.generators
+    if len(gens) > 1:
+        gens = atlas._first_generating_pair(sub.ids)
     return {
         "size": sub.size,
-        "generators": [list(atlas.elements[g]) for g in sub.generators] or "cyclic",
+        "generators": [list(atlas.elements[g]) for g in gens] or "cyclic",
     }
 
 
@@ -629,9 +638,7 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
     dihedrals = [s for s in subs if s.size == two_p and not is_abelian(s)]
     semidirect = per_class(lambda s: atlas.semidirect_p_form(s, p))
     quasi_p = per_class(lambda s: atlas.is_quasi_p(s, p))
-    contains_dihedral = per_class(
-        lambda s: any(d.mask & s.mask == d.mask for d in dihedrals)
-    )
+    contains_dihedral = per_class(lambda s: atlas.contains_dihedral(s, p))
     if dihedrals:
         claim1 = ClaimResult(
             "dihedral-exists",

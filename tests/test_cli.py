@@ -282,7 +282,7 @@ def test_verify_group_table_size_limit(capsys):
     assert code == 0
     assert payload["status"] == "refused" and payload["budget"] == 1000000
     assert payload["reason"] == (
-        "group order 456288 exceeds the order limit 12180; claims not checked"
+        "group order 456288 exceeds the order limit 39732; claims not checked"
     )
     assert "claims" not in payload
 

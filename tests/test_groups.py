@@ -77,14 +77,15 @@ def test_cyclic_orders_and_inverses():
 
 
 def test_size_cap_refuses_the_table():
-    # one order limit for both group models, PSL2(F_29)'s order
-    assert ORDER_LIMIT == 12180
-    with pytest.raises(ValueError, match="exceeds the order limit 12180"):
-        SmallGroup.semidirect(3, 9, 1)  # 19683 elements
-    with pytest.raises(ValueError, match="exceeds the order limit 12180"):
+    # one order limit for both group models, PSL2(F_43)'s order
+    assert ORDER_LIMIT == 39732
+    with pytest.raises(ValueError, match="exceeds the order limit 39732"):
+        SmallGroup.semidirect(3, 10, 1)  # 59049 elements
+    with pytest.raises(ValueError, match="exceeds the order limit 39732"):
         SmallGroup.cyclic(ORDER_LIMIT + 1)
     assert SmallGroup.cyclic(ORDER_LIMIT).n == ORDER_LIMIT
     assert SmallGroup.semidirect(3, 7, 1).n == 2187  # refused by the old 2000 cap
+    assert SmallGroup.semidirect(3, 9, 1).n == 19683  # refused by the old 12180 limit
 
 
 @pytest.mark.parametrize(
@@ -106,7 +107,8 @@ def test_subgroup_search_on_small_groups(args, count):
 
 def _all_pairs_subgroups(g):
     """The closure of every pair of cyclic subgroups, in cyclic_subgroups()
-    order; a new closure keeps the first pair that reached it.  Closures
+    order; a new closure keeps the first pair that reached it, and a pair
+    nested as sets is skipped.  Closures
     are taken here, on the columns x -> xs of the generators s, not by
     ``closure_ids``."""
     n, e, whole_ids = g.n, g.identity_id, tuple(range(g.n))
@@ -123,22 +125,21 @@ def _all_pairs_subgroups(g):
             members |= frontier
         return tuple(sorted(members)) if 2 * len(members) <= n else whole_ids
 
-    found = {}
     whole = g.whole_group()
-    found[whole.mask] = whole
+    found = {whole.ids: whole}
     cyclic = g.cyclic_subgroups()
     for sub in cyclic:
-        found.setdefault(sub.mask, sub)
+        found.setdefault(sub.ids, sub)
     for i, ci in enumerate(cyclic):
+        members = set(ci.ids)
         for cj in cyclic[i + 1 :]:
-            if ci.mask & cj.mask in (ci.mask, cj.mask):
+            if members <= set(cj.ids) or members >= set(cj.ids):
                 continue
             ids = closure(ci.generators + cj.generators)
             if len(ids) == g.n:
                 continue
-            mask = sum(1 << x for x in ids)
-            if mask not in found:
-                found[mask] = Subgroup(ids, mask, ci.generators + cj.generators)
+            if ids not in found:
+                found[ids] = Subgroup(ids, ci.generators + cj.generators)
     return sorted(found.values(), key=lambda s: (s.size, s.ids))
 
 
@@ -147,8 +148,9 @@ def _all_pairs_stability(g):
     cyclic subgroup not inside it gives a listed subgroup."""
     listed = {s.ids for s in g.subgroups()}
     for sub in g.subgroups():
+        members = set(sub.ids)
         for cyc in g.cyclic_subgroups():
-            if cyc.mask & sub.mask == cyc.mask:
+            if members.issuperset(cyc.ids):
                 continue
             if g.closure_ids(sub.generators + cyc.generators) not in listed:
                 return False
@@ -169,8 +171,17 @@ def _all_pairs_closed(g):
 
 
 def _assert_matches_all_pairs(g):
-    expected = [(s.mask, s.generators) for s in _all_pairs_subgroups(g)]
-    assert [(s.mask, s.generators) for s in g.subgroups()] == expected
+    """The same subgroups in the same order; a non-cyclic one's first
+    generating pair, searched on demand, is the pair the all-pairs walk
+    closed it from, and its stored generators generate it."""
+    expected = _all_pairs_subgroups(g)
+    subs = g.subgroups()
+    assert [s.ids for s in subs] == [s.ids for s in expected]
+    for sub, oracle in zip(subs, expected):
+        if len(oracle.generators) == 2:
+            assert g._first_generating_pair(sub.ids) == oracle.generators, sub.ids
+        else:  # the whole group or a cyclic subgroup
+            assert sub.generators == oracle.generators
     assert g.check_subgroups_closed()
     assert _all_pairs_closed(g)
 
@@ -222,7 +233,7 @@ def test_check_subgroups_closed_fails_on_a_damaged_list():
     assert not g.check_subgroups_closed()
     assert not _all_pairs_closed(g)
     # the right ids, but generators that generate a proper cyclic subgroup
-    cyclic = next(c for c in g.cyclic_subgroups() if c.size == 4 and c.mask & sub.mask == c.mask)
+    cyclic = next(c for c in g.cyclic_subgroups() if c.size == 4 and set(c.ids) <= set(sub.ids))
     g._subgroups = full[:k] + [replace(sub, generators=cyclic.generators)] + full[k + 1 :]
     assert not g.check_subgroups_closed()
     assert _all_pairs_closed(g)  # the product test cannot see it
@@ -267,8 +278,8 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
     ]
     for members in classes.values():
         first = members[0]
-        expected = g._conjugacy_class(first.ids, first.mask, conjugators)
-        assert sorted(s.mask for s in members) == sorted(expected), first
+        expected = g._conjugacy_class(first.ids, first.generators, conjugators)
+        assert sorted(s.ids for s in members) == sorted(expected), first
 
 
 @pytest.mark.parametrize("kind,args", CLASS_GROUPS)
@@ -277,16 +288,29 @@ def test_claim_predicates_are_constant_on_classes(kind, args):
     subs = g.subgroups()
     classes = _classes(g)
     for p in _primes(g):
-        dihedrals = [s for s in subs if s.size == 2 * p and not g.is_abelian_subgroup(s)]
         predicates = [
             g.is_abelian_subgroup,
             lambda s: g.semidirect_p_form(s, p),
             lambda s: g.is_quasi_p(s, p),
-            lambda s: any(d.mask & s.mask == d.mask for d in dihedrals),
+            lambda s: g.contains_dihedral(s, p),
         ]
         for predicate in predicates:
             for members in classes.values():
                 assert len({predicate(s) for s in members}) == 1, (p, members[0])
+
+
+@pytest.mark.parametrize("kind,args", CLASS_GROUPS)
+def test_contains_dihedral_matches_the_listed_dihedrals(kind, args):
+    # an order-p element and an involution inverting it, against "a listed
+    # nonabelian subgroup of order 2p lies inside", on every listed subgroup
+    g = _make(kind, args)
+    subs = g.subgroups()
+    for p in _primes(g):
+        dihedrals = [set(s.ids) for s in subs if s.size == 2 * p and not g.is_abelian_subgroup(s)]
+        for sub in subs:
+            members = set(sub.ids)
+            expected = any(d <= members for d in dihedrals)
+            assert g.contains_dihedral(sub, p) == expected, (p, sub.ids)
 
 
 # PSL2 and every dihedral shape, Z/p^r x| Z/2 with Z/2 acting by inversion
@@ -505,10 +529,10 @@ def test_a_class_size_too_small_is_caught(kind, args, monkeypatch):
     g.subgroups()
     conjugacy_class = g._conjugacy_class
 
-    def short(ids, mask, conjugators):
-        found = conjugacy_class(ids, mask, conjugators)
+    def short(ids, generators, conjugators):
+        found = conjugacy_class(ids, generators, conjugators)
         if len(found) > 1:
-            found.pop(next(m for m in found if m != mask))
+            found.pop(next(other for other in found if other != ids))
         return found
 
     monkeypatch.setattr(g, "_conjugacy_class", short)

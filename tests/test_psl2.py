@@ -275,10 +275,11 @@ def _claims_per_subgroup(p, ell):
     atlas = psl2_atlas(ell)
     subs, two_p = atlas.subgroups(), 2 * p
 
-    def witness(sub):
+    def witness(sub):  # a non-cyclic subgroup prints its first generating pair
+        gens = atlas._first_generating_pair(sub.ids) if len(sub.generators) > 1 else sub.generators
         return {
             "size": sub.size,
-            "generators": [list(atlas.elements[g]) for g in sub.generators] or "cyclic",
+            "generators": [list(atlas.elements[g]) for g in gens] or "cyclic",
         }
 
     dihedrals = [s for s in subs if s.size == two_p and not atlas.is_abelian_subgroup(s)]
@@ -322,9 +323,9 @@ def test_subgroup_claims_budget_refusal():
 
 
 def test_order_limit_binds_whatever_the_budget():
-    assert ORDER_LIMIT == 12180 == group_params(7, 29).order
+    assert ORDER_LIMIT == 39732 == group_params(7, 43).order
     misses = psl2_atlas.cache_info().misses
-    for p, ell in ((7, 97), (3, 31)):
+    for p, ell in ((7, 97), (3, 47)):
         report = verify_subgroup_claims(p, ell, budget=10**6)
         assert report.status == "refused"
         assert report.reason.endswith(
@@ -332,7 +333,7 @@ def test_order_limit_binds_whatever_the_budget():
         )
     assert psl2_atlas.cache_info().misses == misses  # no atlas was built
     with pytest.raises(ValueError, match="order limit"):
-        Psl2Atlas(31)
+        Psl2Atlas(47)
 
 
 def test_subgroup_claims_3_19_above_the_default_budget():
@@ -353,3 +354,25 @@ def test_report_serializes():
     d = report.to_dict()
     assert d["status"] == "checked"
     assert all(c["status"] == "pass" for c in d["claims"])
+
+
+def test_claim_3_fails_exactly_where_dickson_puts_an_a5():
+    # Dickson's list (Huppert, Endliche Gruppen I, II.8.27): PSL2(F_ell)
+    # has a proper subgroup A_5 exactly when ell = +-1 (mod 10), and A_5 is
+    # quasi-p above a D_p for p = 3 and 5 (PSL2(F_5) is A_5 itself).  The brute-force subgroup list decides
+    # each verdict; the prediction only cross-checks it.  Every odd p != ell
+    # dividing the order, ell <= 29; the rest up to the order limit in CI.
+    failed, predicted = [], []
+    for ell in (5, 7, 11, 13, 17, 19, 23, 29):
+        for p in prime_factors(ell * (ell * ell - 1) // 2):
+            if p in (2, ell):
+                continue
+            report = verify_subgroup_claims(p, ell, budget=ORDER_LIMIT)
+            statuses = [c.status for c in report.claims]
+            assert statuses[:2] == ["pass", "pass"], (p, ell)
+            if statuses[2] == "fail":
+                failed.append((p, ell))
+                assert report.claims[2].witness["size"] == 60, (p, ell)
+            if p in (3, 5) and ell % 10 in (1, 9):
+                predicted.append((p, ell))
+    assert failed == predicted == [(3, 11), (5, 11), (3, 19), (5, 19), (3, 29), (5, 29)]
