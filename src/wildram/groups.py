@@ -1,11 +1,17 @@
 """Finite groups on element ids 0..n-1, multiplied on demand.
 
-``mul(a, b)`` is the id of the product ab.  Subclasses implement it on a
-concrete model (2x2 matrices, residue pairs) and this class owns everything
-computed from it: element orders and inverses, closures, cyclic subgroups,
-the subgroups generated by at most two elements, and the structural
-predicates the subgroup and generation checks ask about.  No product is
-stored, so memory grows with n and with the subgroup list, never with n^2.
+``mul(a, b)`` is the id of the product ab.  Two batch primitives sit next to
+it: ``products(xs, g)``, the ids of x g for each x in xs, and
+``conjugates(g, xs)``, the ids of g x g^-1.  Their defaults call ``mul``; a
+model whose product is cheaper inline overrides them, and the engine's hot
+loops (the closure frontier, the conjugation maps, the normalizer test and
+the orbit maps of the extension step) go through them.  Subclasses implement
+the product on a concrete model (2x2 matrices, residue pairs) and this class
+owns everything computed from it: element orders and inverses, closures,
+cyclic subgroups, the subgroups generated by at most two elements, and the
+structural predicates the subgroup and generation checks ask about.  No
+product is stored, so memory grows with n and with the subgroup list, never
+with n^2.
 
 The subgroup search works up to conjugacy, after the conjugacy-class
 lattice method (Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -77,6 +83,16 @@ class FiniteGroup:
         """The id of the product ab."""
         raise NotImplementedError
 
+    def products(self, xs, g: int) -> list[int]:
+        """The ids of x g for each x in xs, in order."""
+        mul = self.mul
+        return [mul(x, g) for x in xs]
+
+    def conjugates(self, g: int, xs) -> list[int]:
+        """The ids of g x g^-1 for each x in xs, in order."""
+        mul, g_inverse = self.mul, self.inverses[g]
+        return [mul(mul(g, x), g_inverse) for x in xs]
+
     def _walk_cyclic_subgroups(self):
         """Orders and inverses from one walk x, x^2, ..., x^k = 1 per cyclic subgroup.
 
@@ -126,9 +142,9 @@ class FiniteGroup:
         subgroup whose order divides ``size``, so None then means <gens> is
         all of it and the search stops early.
         """
-        n, mul = self.n, self.mul
+        products = self.products
         gens = sorted(set(gens))
-        seen = bytearray(n)
+        seen = bytearray(self.n)
         e = self.identity_id
         seen[e] = 1
         members = [e]
@@ -136,9 +152,8 @@ class FiniteGroup:
         half = size // 2
         while frontier:
             nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = mul(x, g)
+            for g in gens:
+                for y in products(frontier, g):
                     if not seen[y]:
                         seen[y] = 1
                         nxt.append(y)
@@ -230,8 +245,7 @@ class FiniteGroup:
 
     def _conjugation(self, g: int) -> list[int]:
         """The map x -> g x g^-1 as a list over ids."""
-        mul, g_inverse = self.mul, self.inverses[g]
-        return [mul(mul(g, x), g_inverse) for x in range(self.n)]
+        return self.conjugates(g, range(self.n))
 
     def _generating_set(self, order: int, member=None) -> list[int]:
         """Generators of a subgroup K of the given order, picked greedily in
@@ -293,7 +307,7 @@ class FiniteGroup:
         found by a scan that stops there (_generating_set).  The trivial
         subgroup and the whole group are not extended: every <y> holds the
         one and lies in the other."""
-        n, mul, inverses = self.n, self.mul, self.inverses
+        n, conjugates = self.n, self.conjugates
         if sub.size in (1, n):
             return
         inside = bytearray(n)
@@ -302,18 +316,18 @@ class FiniteGroup:
         hs = sub.generators
 
         def normalizes(g):  # g normalizes H iff g h g^-1 is in H for each generator h
-            g_inverse = inverses[g]
-            return all(inside[mul(mul(g, h), g_inverse)] for h in hs)
+            return all(inside[y] for y in conjugates(g, hs))
 
         cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
         skip = bytes(inside[cy.generators[0]] for cy in cyclic)
+        outside = [c for c, cy in enumerate(cyclic) if not skip[c]]
+        outside_gens = [cyclic[c].generators[0] for c in outside]
         maps = []
         for g in self._generating_set(n // class_size, normalizes):
-            g_inverse = inverses[g]
-            maps.append([
-                None if skip[c] else cyclic_of[mul(mul(g, cy.generators[0]), g_inverse)]
-                for c, cy in enumerate(cyclic)
-            ])
+            image = [None] * len(cyclic)
+            for c, y in zip(outside, conjugates(g, outside_gens)):
+                image[c] = cyclic_of[y]
+            maps.append(image)
         for orbit in self._cyclic_orbits(maps, skip):
             cy = cyclic[orbit[0]]
             if cy.size % sub.size or not all(h in cy.ids for h in hs):  # else H is inside <y>

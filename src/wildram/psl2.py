@@ -333,21 +333,67 @@ class Psl2Atlas(FiniteGroup):
 
     Elements are sign-canonical SL2 matrices: of the pair {M, -M} keep the
     lexicographically first, whose first nonzero entry lies in 1..(l-1)/2.
-    The index maps both M and -M to that element's id, so a product is
-    looked up as it comes.
+    A matrix (a, b, c, d) of determinant 1 is fixed by its code
+    (a l + b) l + c when a != 0 (then d = (1 + bc)/a) and l^3 + b l + d
+    when a = 0 (then c = -1/b); the flat list ``_slot`` maps the codes of
+    both M and -M to that element's id, so a product is computed entry by
+    entry and looked up once.  ``mul``, ``products`` and ``conjugates`` each
+    inline that arithmetic; a conjugation g x g^-1 is one fused product
+    with g's inverse (d, -b, -c, a), not two.
     """
 
     def __init__(self, ell: int):
         _require_odd_prime(ell, "ell")
         check_order(ell * (ell * ell - 1) // 2)
         self.ell = ell
-        self._build_elements()
         self._inverse_mod = [0] + [pow(x, ell - 2, ell) for x in range(1, ell)]
+        self._build_elements()
         self._perms = [None] * self.n
-        super().__init__(self.n, self._index[(1, 0, 0, 1)])
+        super().__init__(self.n, self._slot[ell * ell])  # the code of (1, 0, 0, 1)
 
-    def mul(self, a: int, b: int) -> int:
-        return self._index[_mat_mul(self.elements[a], self.elements[b], self.ell)]
+    def mul(self, x: int, y: int) -> int:
+        ell, slot = self.ell, self._slot
+        a, b, c, d = self.elements[x]
+        p, q, r, s = self.elements[y]
+        top = (a * p + b * r) % ell
+        if top:
+            return slot[(top * ell + (a * q + b * s) % ell) * ell + (c * p + d * r) % ell]
+        return slot[self._a_zero + (a * q + b * s) % ell * ell + (c * q + d * s) % ell]
+
+    def products(self, xs, g: int) -> list[int]:
+        ell, elements, slot, a_zero = self.ell, self.elements, self._slot, self._a_zero
+        p, q, r, s = elements[g]
+        out = []
+        for x in xs:
+            a, b, c, d = elements[x]
+            top = (a * p + b * r) % ell
+            if top:
+                out.append(slot[(top * ell + (a * q + b * s) % ell) * ell + (c * p + d * r) % ell])
+            else:
+                out.append(slot[a_zero + (a * q + b * s) % ell * ell + (c * q + d * s) % ell])
+        return out
+
+    def conjugates(self, g: int, xs) -> list[int]:
+        # for g = (a, b, c, d) of determinant 1, g (w, x, y, z) g^-1 has top
+        # row (ad w - ac x + bd y - bc z, -ab w + a^2 x - b^2 y + ab z),
+        # bottom-left entry cd w - c^2 x + d^2 y - cd z and trace w + z, so
+        # its bottom-right entry is w + z where the top-left one is 0
+        ell, elements, slot, a_zero = self.ell, self.elements, self._slot, self._a_zero
+        a, b, c, d = elements[g]
+        ad, ac, bd, bc = a * d, -a * c, b * d, -b * c
+        ab, aa, bb = a * b, a * a, -b * b
+        cd, cc, dd = c * d, -c * c, d * d
+        out = []
+        for i in xs:
+            w, x, y, z = elements[i]
+            top = (ad * w + ac * x + bd * y + bc * z) % ell
+            right = (ab * (z - w) + aa * x + bb * y) % ell
+            if top:
+                left = (cd * (w - z) + cc * x + dd * y) % ell
+                out.append(slot[(top * ell + right) * ell + left])
+            else:
+                out.append(slot[a_zero + right * ell + (w + z) % ell])
+        return out
 
     def _perm(self, g: int) -> list[int]:
         """The permutation z -> (az + b)/(cz + d) of P^1(F_l) by element g, on
@@ -417,32 +463,37 @@ class Psl2Atlas(FiniteGroup):
         return False
 
     def _build_elements(self):
+        """The sign-canonical matrices, ids in lexicographic order, and
+        ``_slot``: first a = 0 (then c = -1/b and d runs over F_l), then
+        a != 0 (then d = (1 + bc)/a).  The first nonzero entry of a canonical
+        matrix lies in 1..(l-1)/2, so a runs up to (l-1)/2, and b does at
+        a = 0."""
         ell = self.ell
-        seen = {}
-        elements = []
-        for a in range(ell):
-            for b in range(ell):
-                for c in range(ell):
-                    if a:
-                        d = (1 + b * c) * pow(a, ell - 2, ell) % ell
-                        mats = [(a, b, c, d)]
-                    elif b:
-                        cval = (-pow(b, ell - 2, ell)) % ell
-                        if c != cval:
-                            continue
-                        mats = [(a, b, cval, d) for d in range(ell)]
-                    else:
-                        continue
-                    for m in mats:
-                        if m not in seen:
-                            seen[m] = seen[tuple(-x % ell for x in m)] = len(elements)
-                            elements.append(m)
+        half, inverse = (ell - 1) // 2, self._inverse_mod
+        elements = [
+            (0, b, -inverse[b] % ell, d) for b in range(1, half + 1) for d in range(ell)
+        ]
+        elements += [
+            (a, b, c, (1 + b * c) * inverse[a] % ell)
+            for a in range(1, half + 1)
+            for b in range(ell)
+            for c in range(ell)
+        ]
         self.elements = elements
         self.n = len(elements)
         expected = ell * (ell * ell - 1) // 2
         if self.n != expected:
             raise RuntimeError(f"PSL2(F_{ell}) enumeration found {self.n}, expected {expected}")
-        self._index = seen
+        a_zero = self._a_zero = ell**3  # the first code of a matrix with a = 0
+        slot = [0] * (a_zero + ell * ell)
+        for i, (a, b, c, d) in enumerate(elements):
+            if a:
+                slot[(a * ell + b) * ell + c] = i
+                slot[((ell - a) * ell + -b % ell) * ell + -c % ell] = i
+            else:
+                slot[a_zero + b * ell + d] = i
+                slot[a_zero + (ell - b) * ell + -d % ell] = i
+        self._slot = slot
 
 
 class _Orbit:

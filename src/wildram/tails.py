@@ -188,6 +188,15 @@ class SmallGroup(FiniteGroup):
         q = self._q
         return (a1 + w1 * a2) % q + q * ((b1 + b2) % self._m)
 
+    def products(self, xs, y: int) -> list[int]:
+        q, m, parts = self._q, self._m, self._parts
+        a2, _, b2 = parts[y]
+        out = []
+        for x in xs:
+            a1, w1, b1 = parts[x]
+            out.append((a1 + w1 * a2) % q + q * ((b1 + b2) % m))
+        return out
+
     @classmethod
     def cyclic(cls, n: int) -> "SmallGroup":
         if n < 1:

@@ -369,8 +369,17 @@ def parse_tower_spec(text: str) -> TowerSpec:
         raise ValueError(f"p = {p} exceeds the tower size limit {TOWER_SIZE_LIMIT}")
     polys = []
     for i, line in enumerate(lines[1 : 1 + r], start=1):
+        # more coefficients than the cap means p * degree past it or zeros
+        # above the degree; either way the line is refused before a token of
+        # it is parsed, and the split stops one token past the cap
+        tokens = line.split(maxsplit=TOWER_SIZE_LIMIT)
+        if len(tokens) > TOWER_SIZE_LIMIT:
+            raise ValueError(
+                f"x_{i}: more than {TOWER_SIZE_LIMIT} coefficients exceed the tower size"
+                f" limit {TOWER_SIZE_LIMIT}"
+            )
         try:
-            coeffs = tuple(int(x) for x in line.split())
+            coeffs = tuple(int(x) for x in tokens)
         except ValueError as exc:
             raise ValueError(f"malformed coefficient line {line!r}") from exc
         if not coeffs:

@@ -5,12 +5,17 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from wildram import cli
 from wildram.cli import main
 from wildram.psl2 import InertiaType
 from wildram.ramification import enumerate_admissible
 from wildram.towers import TOWER_SIZE_LIMIT, parse_tower_spec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -254,6 +259,25 @@ def test_tower_size_cap(tmp_path, capsys):
     assert code == 2 and out == "" and "tower size limit" in err
 
 
+def test_tower_line_past_the_cap_is_refused_unparsed(tmp_path, capsys):
+    # a line of 10^6 coefficients is refused by its token count before any
+    # is parsed, even when all but the constant term are zeros (degree 0)
+    many = 10**6
+    for name, line in (("dense", " ".join(["1"] * many)), ("zeros", "1" + " 0" * (many - 1))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"3 1 1 0\n{line}\n", encoding="ascii")
+        for command in ("tower-predict", "tower-oracle"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--spec", str(path))
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == ""
+            assert err.startswith("error: x_1: more than") and "tower size limit" in err
+    # a line of exactly TOWER_SIZE_LIMIT tokens is parsed and sized as before
+    path = tmp_path / "at_tokens.txt"
+    path.write_text("3 1 1 0\n" + "1" + " 0" * (TOWER_SIZE_LIMIT - 1) + "\n", encoding="ascii")
+    assert parse_tower_spec(path.read_text(encoding="ascii")).x_polys[0].degree == 0
+
+
 def test_missing_file_is_usage_error(capsys):
     code, out, err = run(capsys, "tower-oracle", "--spec", "/nonexistent/tower.txt")
     assert code == 2
@@ -324,6 +348,17 @@ def test_verify_group_witness_matrices_are_stable(capsys):
     failed = [c for c in payload["claims"] if c["status"] == "fail"]
     assert [c["claim"] for c in failed] == ["quasi-p-above-dihedral-is-whole"]
     assert failed[0]["witness"] == {"generators": [[0, 1, 10, 0], [3, 2, 10, 7]], "size": 60}
+
+
+@pytest.mark.parametrize(
+    "p,ell,budget,code", [(3, 11, 660, 1), (5, 19, 3420, 1), (7, 29, 12180, 0)]
+)
+def test_verify_group_matches_its_golden_report(capsys, p, ell, budget, code):
+    # the whole report byte for byte, every printed witness matrix included;
+    # CI holds verify-group --p 7 --ell 43 to verify-group-7-43.json
+    golden = (GOLDEN / f"verify-group-{p}-{ell}.json").read_text(encoding="ascii")
+    assert run(capsys, "verify-group", "--p", str(p), "--ell", str(ell),
+               "--budget", str(budget)) == (code, golden, "")
 
 
 def test_internal_fault_is_reported_not_raised(capsys, monkeypatch):

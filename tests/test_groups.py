@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from wildram import psl2
-from wildram.exactmath import prime_factors, vp
+from wildram.exactmath import is_prime, prime_factors, vp
 from wildram.groups import ORDER_LIMIT, Subgroup
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
 from wildram.tails import SmallGroup, generation_obstruction
@@ -25,6 +25,13 @@ SHAPES = [
     ("semidirect", (7, 1, 3)),
     ("cyclic", (9,)),
     ("cyclic", (12,)),
+]
+
+# the Z/p^r x| Z/m shapes, (p, r, m), of the generation obstruction searches
+# the benchmark's enumerate-tails workload runs
+OBSTRUCTION_SHAPES = [
+    ("semidirect", args)
+    for args in ((3, 5, 2), (3, 4, 4), (11, 2, 2), (5, 3, 2), (7, 2, 6), (7, 2, 4), (5, 2, 8))
 ]
 
 
@@ -59,14 +66,89 @@ def test_table_axioms(kind, args):
         assert g.mul(x, y) == (a1 + pow(u, b1, q) * a2) % q + q * ((b1 + b2) % m)
 
 
+@pytest.mark.parametrize("kind,args", OBSTRUCTION_SHAPES)
+def test_small_group_products_match_mul(kind, args):
+    g = build(kind, args)
+    xs = list(range(g.n))
+    for y in range(g.n):
+        assert g.products(xs, y) == [g.mul(x, y) for x in xs]
+
+
+def _matrix_oracle(atlas):
+    """The product, as ids, by _mat_mul and a lookup of the sign-canonical
+    form (of M and -M the lexicographically first is listed), and the
+    conjugate g x g^-1 by two such products with g^-1 the adjugate of g."""
+    ell, elements = atlas.ell, atlas.elements
+    assert all(m < tuple(-v % ell for v in m) for m in elements)
+    index = {}  # both signs of each listed matrix
+    for i, m in enumerate(elements):
+        index[m] = index[tuple(-v % ell for v in m)] = i
+    lookup = index.__getitem__
+
+    def times(x, y):
+        return lookup(_mat_mul(elements[x], elements[y], ell))
+
+    def conjugate(g, x):
+        a, b, c, d = elements[g]
+        inverse = (d, -b % ell, -c % ell, a)
+        return lookup(_mat_mul(_mat_mul(elements[g], elements[x], ell), inverse, ell))
+
+    return times, conjugate
+
+
+def _assert_kernels_match_the_matrices(atlas, pairs):
+    """mul on each pair (x, y), and products and conjugates on the xs of
+    every y, each against the matrix oracle."""
+    times, conjugate = _matrix_oracle(atlas)
+    xs_of = {}
+    for x, y in pairs:
+        assert atlas.mul(x, y) == times(x, y)
+        xs_of.setdefault(y, []).append(x)
+    for y, xs in xs_of.items():
+        assert atlas.products(xs, y) == [times(x, y) for x in xs]
+        assert atlas.conjugates(y, xs) == [conjugate(y, x) for x in xs]
+
+
 @pytest.mark.parametrize("ell", [5, 7])
 def test_psl2_axioms_and_matrix_products(ell):
     g = psl2_atlas(ell)
     _assert_group_axioms(g)
-    elements = g.elements
-    for a, b in product(range(g.n), repeat=2):
-        w = _mat_mul(elements[a], elements[b], ell)
-        assert elements[g.mul(a, b)] in (w, tuple(-x % ell for x in w))
+    _assert_kernels_match_the_matrices(g, product(range(g.n), repeat=2))
+
+
+@pytest.mark.parametrize("ell", [13, 43])
+def test_psl2_kernels_on_random_pairs(ell):
+    g = Psl2Atlas(ell)  # a private atlas: psl2_atlas keeps one
+    rng = Random(ell)
+    pairs = [(rng.randrange(g.n), rng.randrange(g.n)) for _ in range(10**5)]
+    _assert_kernels_match_the_matrices(g, pairs)
+
+
+def _nested_loop_elements(ell):
+    """PSL2(F_ell) as the atlas first enumerated it, which fixed the ids:
+    (a, b, c) in lexicographic order, d solved from ad - bc = 1 (every d
+    when a = 0), each matrix kept unless its negative was kept before."""
+    kept, elements = set(), []
+    for a, b, c in product(range(ell), repeat=3):
+        if a:
+            mats = [(a, b, c, (1 + b * c) * pow(a, ell - 2, ell) % ell)]
+        elif b and c == -pow(b, ell - 2, ell) % ell:
+            mats = [(a, b, c, d) for d in range(ell)]
+        else:
+            continue
+        for m in mats:
+            if m not in kept:
+                kept.update((m, tuple(-v % ell for v in m)))
+                elements.append(m)
+    return elements
+
+
+def test_psl2_ids_are_those_of_the_nested_loop_enumeration():
+    for ell in range(3, 44, 2):
+        if is_prime(ell):
+            atlas = Psl2Atlas(ell)
+            assert atlas.elements == _nested_loop_elements(ell), ell
+            assert atlas.elements[atlas.identity_id] == (1, 0, 0, 1)
 
 
 def test_cyclic_orders_and_inverses():

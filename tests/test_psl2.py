@@ -233,15 +233,21 @@ def test_subgroup_claims_7_13():
 @pytest.mark.parametrize("p,ell,budget", [(3, 11, 23095), (7, 13, 30317)])
 def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
     # a work budget with no timing noise: the group products of a cold run,
-    # atlas build included, counted at Psl2Atlas.mul
-    mul, count = Psl2Atlas.mul, [0]
+    # atlas build included, counted at every product kernel of Psl2Atlas:
+    # one per mul, one per entry of products, two per entry of conjugates
+    count = [0]
 
-    def counting(atlas, a, b):
-        count[0] += 1
-        return mul(atlas, a, b)
+    def counting(kernel, weight):
+        def counted(atlas, *args):
+            out = kernel(atlas, *args)
+            count[0] += weight * (len(out) if isinstance(out, list) else 1)
+            return out
+
+        return counted
 
     psl2_atlas.cache_clear()
-    monkeypatch.setattr(Psl2Atlas, "mul", counting)
+    for name, weight in (("mul", 1), ("products", 1), ("conjugates", 2)):
+        monkeypatch.setattr(Psl2Atlas, name, counting(getattr(Psl2Atlas, name), weight))
     try:
         assert verify_subgroup_claims(p, ell).status == "checked"
     finally:
