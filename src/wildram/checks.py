@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd
 
 from .exactmath import FpPolynomial
-from .psl2 import InertiaType, group_params, inertia_candidates, matrix_orders
+from .psl2 import DEFAULT_BUDGET, InertiaType, group_params, inertia_candidates, matrix_orders
 from .psl2 import class_representative, psl2_atlas, select_triple, verify_subgroup_claims
 from .ramification import (
     JumpSequence,
@@ -357,7 +357,7 @@ def check_class_triple() -> dict:
     return {"classes": [c.label() for c in triple.classes]}
 
 
-def check_subgroup_claims(budget: int = 2000) -> dict:
+def check_subgroup_claims(budget: int = DEFAULT_BUDGET) -> dict:
     report = verify_subgroup_claims(7, 13, budget=budget)
     if report.status == "refused":
         raise _Skip(report.reason)
@@ -482,7 +482,7 @@ REGISTRY: tuple[CheckSpec, ...] = (
 )
 
 
-def run_check(spec: CheckSpec, budget_subgroup: int = 2000) -> CheckResult:
+def run_check(spec: CheckSpec, budget_subgroup: int = DEFAULT_BUDGET) -> CheckResult:
     start = time.monotonic()
     try:
         if spec.check_id == "subgroup-claims-1092":

@@ -19,6 +19,7 @@ from math import gcd
 from .checks import REGISTRY, run_check
 from .exactmath import format_rational, parse_rational, vp
 from .psl2 import (
+    DEFAULT_BUDGET,
     InertiaType,
     group_params,
     inertia_candidates,
@@ -448,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-group", _cmd_verify_group, lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--ell", type=int, required=True),
-        p.add_argument("--budget", type=int, default=2000),
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET),
     ])
     add("check-all", _cmd_check_all, lambda p: [
-        p.add_argument("--budget-subgroup", type=int, default=2000),
+        p.add_argument("--budget-subgroup", type=int, default=DEFAULT_BUDGET),
     ])
     return parser
 

@@ -39,6 +39,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(n: int, name: str):
+    """Raise ValueError, naming the parameter, unless n is an odd prime."""
+    if not is_prime(n) or n == 2:
+        raise ValueError(f"{name} = {n} must be an odd prime")
+
+
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors of n >= 1, ascending, by trial division."""
     if n < 1:

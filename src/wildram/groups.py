@@ -75,7 +75,6 @@ class FiniteGroup:
         self.identity_id = identity_id
         self._whole_ids = tuple(range(n))
         self._walk_cyclic_subgroups()
-        self._cyclic = None
         self._subgroups = None
         self._class_of = None
 
@@ -94,19 +93,21 @@ class FiniteGroup:
         return [mul(mul(g, x), g_inverse) for x in xs]
 
     def _walk_cyclic_subgroups(self):
-        """Orders and inverses from one walk x, x^2, ..., x^k = 1 per cyclic subgroup.
+        """Orders, inverses and the cyclic subgroups from one walk x, x^2, ...,
+        x^k = 1 per cyclic subgroup.
 
         Each walk starts at an element not yet reached, which is the least
         id generating its cyclic subgroup.  The generators x^j, gcd(j, k) = 1,
         get order k and inverse x^(k - j) and are marked, so each cyclic
         subgroup is walked once; every element generates exactly one cyclic
-        subgroup, so every element is reached.
+        subgroup, so every element is reached.  The cyclic subgroups are
+        then sorted by (size, ids), and ``_cyclic_of`` maps each element to
+        the position of the one it generates: its members of full order.
         """
         n, mul, e = self.n, self.mul, self.identity_id
         orders = [0] * n
         inverses = [0] * n
-        walk_of = [0] * n
-        walks = []
+        found = []
         for i in range(n):
             if orders[i]:
                 continue
@@ -121,12 +122,17 @@ class FiniteGroup:
                     x = powers[j]
                     orders[x] = k
                     inverses[x] = powers[-j]
-                    walk_of[x] = len(walks)
-            walks.append((i, powers))
+            found.append(Subgroup(ids=tuple(sorted(powers)), generators=(i,)))
+        cyclic = sorted(found, key=lambda s: (s.size, s.ids))
+        cyclic_of = [0] * n
+        for pos, sub in enumerate(cyclic):
+            for x in sub.ids:
+                if orders[x] == sub.size:
+                    cyclic_of[x] = pos
         self.orders = orders
         self.inverses = inverses
-        self._walks = walks
-        self._walk_of = walk_of
+        self._cyclic = cyclic
+        self._cyclic_of = cyclic_of
 
     # -- closures
 
@@ -177,19 +183,6 @@ class FiniteGroup:
     def cyclic_subgroups(self) -> list[Subgroup]:
         """One Subgroup per distinct cyclic subgroup, generator = least id,
         ordered by (size, ids)."""
-        if self._cyclic is None:
-            found = []
-            for i, powers in self._walks:
-                ids = tuple(sorted(powers))
-                found.append(Subgroup(ids=ids, generators=(i,)))
-            rank = sorted(range(len(found)), key=lambda w: (found[w].size, found[w].ids))
-            position = [0] * len(found)
-            for pos, w in enumerate(rank):
-                position[w] = pos
-            self._cyclic = [found[w] for w in rank]
-            # element -> position of the cyclic subgroup it generates
-            self._cyclic_of = [position[w] for w in self._walk_of]
-            self._walks = self._walk_of = None
         return self._cyclic
 
     def subgroups(self) -> list[Subgroup]:
@@ -353,14 +346,8 @@ class FiniteGroup:
     def _first_generating_pair(self, ids) -> tuple[int, int]:
         """Generators of the first pair (i < j) of cyclic subgroups inside
         the subgroup ``ids``, in cyclic_subgroups() order, that generates it:
-        the pair a search over all cyclic pairs in that order meets first.
-
-        A pair of involutions x != y is settled by one product, not a
-        closure: <x, y> is the dihedral group of order 2 ord(xy).  That is
-        an identity of every group (xy is inverted by x, and <x, y> is <xy>
-        and its coset x<xy>), not a fact about PSL2; the tests compare each
-        first pair with a search that closes every pair."""
-        cyclic, orders, mul = self.cyclic_subgroups(), self.orders, self.mul
+        the pair a search over all cyclic pairs in that order meets first."""
+        cyclic = self.cyclic_subgroups()
         size = len(ids)
         inside = sorted({self._cyclic_of[x] for x in ids})
         for k, a in enumerate(inside):
@@ -370,10 +357,7 @@ class FiniteGroup:
                 if cb.size % ca.size == 0 and ca.generators[0] in cb.ids:
                     continue  # <a> is inside <b>, as a < b puts the smaller first
                 pair = ca.generators + cb.generators
-                if ca.size == cb.size == 2:
-                    if 2 * orders[mul(*pair)] == size:
-                        return pair
-                elif self._closure(pair, size) is None:
+                if self._closure(pair, size) is None:
                     return pair
         raise RuntimeError(f"no two cyclic subgroups generate a subgroup of order {size}")
 
@@ -424,7 +408,6 @@ class FiniteGroup:
         generate one.  t x t = x^-1 says that tx is an involution too, one
         product per pair, and t inverts every power of x, so one x per
         cyclic subgroup of order p is tried."""
-        self.cyclic_subgroups()
         orders, mul, cyclic_of = self.orders, self.mul, self._cyclic_of
         involutions = [t for t in sub.ids if orders[t] == 2]
         tried = set()

@@ -23,8 +23,8 @@ conjugacy class of subgroups since each is invariant under conjugation
 closure that reaches the whole group is proven whole by a stabilizer chain
 of its generators' action on the projective line P^1(F_l) instead of being
 searched; every other closure is still searched.  A printed witness names
-the first pair of cyclic subgroups that generates it, searched for that
-subgroup only.  No budget admits a group above ORDER_LIMIT elements, the
+the first pair of cyclic subgroups that generates it, found by closing the
+pairs inside that subgroup only.  No budget admits a group above ORDER_LIMIT elements, the
 order of PSL2(F_43).
 """
 
@@ -34,13 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .exactmath import is_prime, least_nonresidue, prime_factors, vp
+from .exactmath import is_prime, least_nonresidue, prime_factors, require_odd_prime, vp
 from .groups import ORDER_LIMIT, FiniteGroup, Subgroup, check_order
 
-
-def _require_odd_prime(n: int, name: str):
-    if not is_prime(n) or n == 2:
-        raise ValueError(f"{name} = {n} must be an odd prime")
+# the largest group order verify_subgroup_claims certifies unless asked for more
+DEFAULT_BUDGET = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +57,8 @@ class GroupParams:
 
 
 def group_params(p: int, ell: int) -> GroupParams:
-    _require_odd_prime(p, "p")
-    _require_odd_prime(ell, "ell")
+    require_odd_prime(p, "p")
+    require_odd_prime(ell, "ell")
     if p == ell:
         raise ValueError("p must differ from ell")
     order = ell * (ell * ell - 1) // 2
@@ -85,7 +83,7 @@ class InertiaType:
     m_I: int
 
     def __post_init__(self):
-        _require_odd_prime(self.p, "p")
+        require_odd_prime(self.p, "p")
         if self.r < 1:
             raise ValueError(f"r = {self.r} must be >= 1")
         if self.m < 1 or gcd(self.m, self.p) != 1:
@@ -162,7 +160,7 @@ class ConjClass:
 @lru_cache(maxsize=None)
 def primitive_root(ell: int) -> int:
     """Smallest generator of the multiplicative group mod ell."""
-    _require_odd_prime(ell, "ell")
+    require_odd_prime(ell, "ell")
     n = ell - 1
     qs = prime_factors(n)
     for g in range(2, ell):
@@ -179,7 +177,7 @@ def norm_one_generator(ell: int) -> Matrix:
     nonresidue.  Its determinant is the norm a^2 - n b^2, which is 1 exactly
     when the order divides l + 1, so only those matrices are powered.
     """
-    _require_odd_prime(ell, "ell")
+    require_odd_prime(ell, "ell")
     n = least_nonresidue(ell)
     for a in range(ell):
         for b in range(1, ell):
@@ -224,27 +222,20 @@ def class_representative(ell: int, cls: ConjClass) -> Matrix:
 def matrix_orders(ell: int, mat: Matrix) -> tuple[int, int]:
     """(order in SL2, order in PSL2) of a matrix, by explicit powering.
 
-    The PSL2 order is the SL2 order, halved exactly when the power at half
-    order is -Id.
+    The powering stops at the first M^k in {Id, -Id}: k is the PSL2 order,
+    and the SL2 order is k at Id and 2k at -Id.
     """
     identity = (1, 0, 0, 1)
     minus_identity = (ell - 1, 0, 0, ell - 1)
     acc = mat
-    order = 1
+    k = 1
     bound = 2 * ell * (ell + 1)  # any element order divides l(l^2 - 1)/ gcd, stay safe
-    while acc != identity:
+    while acc != identity and acc != minus_identity:
         acc = _mat_mul(acc, mat, ell)
-        order += 1
-        if order > bound:
+        k += 1
+        if k > bound:
             raise RuntimeError("order computation exceeded the safety bound")
-    psl2_order = order
-    if order % 2 == 0:
-        half = identity
-        for _ in range(order // 2):
-            half = _mat_mul(half, mat, ell)
-        if half == minus_identity:
-            psl2_order = order // 2
-    return order, psl2_order
+    return (k, k) if acc == identity else (2 * k, k)
 
 
 def class_order(ell: int, cls: ConjClass, p: int) -> tuple[int, int]:
@@ -253,7 +244,7 @@ def class_order(ell: int, cls: ConjClass, p: int) -> tuple[int, int]:
     The formula (l -+ 1)/gcd(l -+ 1, i) is asserted against the identity
     v_p(order) = max(0, v_p(l -+ 1) - v_p(i)).
     """
-    _require_odd_prime(ell, "ell")
+    require_odd_prime(ell, "ell")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     cls.check_bounds(ell)
@@ -343,7 +334,7 @@ class Psl2Atlas(FiniteGroup):
     """
 
     def __init__(self, ell: int):
-        _require_odd_prime(ell, "ell")
+        require_odd_prime(ell, "ell")
         check_order(ell * (ell * ell - 1) // 2)
         self.ell = ell
         self._inverse_mod = [0] + [pow(x, ell - 2, ell) for x in range(1, ell)]
@@ -636,7 +627,7 @@ def _subgroup_witness(atlas: Psl2Atlas, sub: Subgroup) -> dict:
     }
 
 
-def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupReport:
+def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> SubgroupReport:
     """Exhaustively certify three subgroup facts about PSL2(F_l) at p.
 
     (i)   a dihedral subgroup of order 2p exists;
@@ -648,8 +639,9 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
     Being abelian, of the form Z/p x| Z/m, quasi-p, or above a D_p does not
     change under conjugation, so each is decided once per conjugacy class
     of subgroups (FiniteGroup.class_number), on the class's first member.
-    The subgroups are still walked in list order, so the counts and the
-    first witness of each claim are those of a walk over every subgroup.
+    Claims (ii) and (iii) are each a search for the first counterexample in
+    list order, so the counts and the first witness of each claim are those
+    of a walk over every subgroup.
 
     Refuses (claims unchecked, not falsified) when the group order exceeds
     the budget or, whatever the budget, ORDER_LIMIT.
@@ -702,43 +694,39 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = 2000) -> SubgroupRepo
             "dihedral-exists", "fail", f"no nonabelian subgroup of order {two_p}"
         )
 
-    claim2 = ClaimResult(
-        "semidirect-form-is-dihedral",
-        "pass",
-        f"every nonabelian Z/{p} x| Z/m subgroup has order {two_p}",
-    )
-    for sub in subs:
-        if not semidirect(sub):
-            continue
-        if is_abelian(sub):
-            continue
-        if sub.size != two_p:
-            claim2 = ClaimResult(
-                "semidirect-form-is-dihedral",
-                "fail",
-                f"nonabelian Z/{p} x| Z/{sub.size // p} subgroup of order {sub.size}",
-                _subgroup_witness(atlas, sub),
-            )
-            break
+    bad = next((s for s in subs if semidirect(s) and not is_abelian(s) and s.size != two_p), None)
+    if bad is None:
+        claim2 = ClaimResult(
+            "semidirect-form-is-dihedral",
+            "pass",
+            f"every nonabelian Z/{p} x| Z/m subgroup has order {two_p}",
+        )
+    else:
+        claim2 = ClaimResult(
+            "semidirect-form-is-dihedral",
+            "fail",
+            f"nonabelian Z/{p} x| Z/{bad.size // p} subgroup of order {bad.size}",
+            _subgroup_witness(atlas, bad),
+        )
 
-    claim3 = ClaimResult(
-        "quasi-p-above-dihedral-is-whole",
-        "pass",
-        f"every quasi-{p} subgroup containing a D_{p} is the whole group",
+    bad = next(
+        (s for s in subs
+         if s.size % two_p == 0 and s.size != atlas.n and contains_dihedral(s) and quasi_p(s)),
+        None,
     )
-    for sub in subs:
-        if sub.size % two_p != 0 or sub.size == atlas.n:
-            continue
-        if not contains_dihedral(sub):
-            continue
-        if quasi_p(sub):
-            claim3 = ClaimResult(
-                "quasi-p-above-dihedral-is-whole",
-                "fail",
-                f"proper quasi-{p} subgroup of order {sub.size} contains a D_{p}",
-                _subgroup_witness(atlas, sub),
-            )
-            break
+    if bad is None:
+        claim3 = ClaimResult(
+            "quasi-p-above-dihedral-is-whole",
+            "pass",
+            f"every quasi-{p} subgroup containing a D_{p} is the whole group",
+        )
+    else:
+        claim3 = ClaimResult(
+            "quasi-p-above-dihedral-is-whole",
+            "fail",
+            f"proper quasi-{p} subgroup of order {bad.size} contains a D_{p}",
+            _subgroup_witness(atlas, bad),
+        )
 
     return SubgroupReport(
         p=p,

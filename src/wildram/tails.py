@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .exactmath import format_rational, is_prime, prime_factors, vp
+from .exactmath import format_rational, is_prime, prime_factors, require_odd_prime, vp
 from .groups import FiniteGroup, check_order
 
 SEARCH_LIMIT = 2_000_000
@@ -208,8 +208,7 @@ class SmallGroup(FiniteGroup):
         """Z/p^r x| Z/m, the factor Z/m acting by the smallest unit of
         order m_I mod p^r.  m_I defaults to gcd(m, p - 1), the most
         faithful action available."""
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p = {p} must be an odd prime")
+        require_odd_prime(p, "p")
         if r < 1 or m < 1 or gcd(m, p) != 1:
             raise ValueError("need r >= 1 and m >= 1 prime to p")
         if m_I is None:
@@ -237,9 +236,7 @@ def _smallest_unit_of_order(q: int, p: int, m_I: int) -> int:
     raise ValueError(f"no unit of order {m_I} mod {q}")
 
 
-def generation_obstruction(
-    r: int, m: int, vp_gen: int, p: int, m_I: int | None = None
-) -> bool:
+def generation_obstruction(r: int, m: int, vp_gen: int, p: int) -> bool:
     """True when Z/p^r x| Z/m cannot be generated by one wild element (order
     divisible by p, with p-valuation at most vp_gen) together with one
     prime-to-p element.  Decided by exhaustive search over the concrete
@@ -254,7 +251,7 @@ def generation_obstruction(
     """
     if vp_gen < 0:
         raise ValueError("vp_gen must be nonnegative")
-    group = SmallGroup.semidirect(p, r, m, m_I)
+    group = SmallGroup.semidirect(p, r, m)
     wild = []
     tame = []
     for c in group.cyclic_subgroups():

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from .exactmath import FpPolynomial, as_reduce_with_witness, is_prime, mul_coeffs
+from .exactmath import FpPolynomial, as_reduce_with_witness, mul_coeffs, require_odd_prime
 from .psl2 import InertiaType
 from .ramification import JumpSequence, deformation_compatible, upper_from_lower
 
@@ -45,8 +45,7 @@ class TowerSpec:
     residue_class: int
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p = {self.p} must be an odd prime")
+        require_odd_prime(self.p, "p")
         if self.m < 1 or gcd(self.m, self.p) != 1:
             raise ValueError(f"m = {self.m} must be positive and prime to p")
         if self.r < 1 or len(self.x_polys) != self.r:

@@ -403,8 +403,8 @@ INVOLUTION_GROUPS = [("psl2", (7,)), ("psl2", (11,))] + [
 
 @pytest.mark.parametrize("kind,args", INVOLUTION_GROUPS)
 def test_two_involutions_generate_a_dihedral_group(kind, args):
-    # the rule _first_generating_pair settles involution pairs by: two
-    # distinct involutions x, y generate a group of order 2 ord(xy)
+    # closure_ids against an identity of every group: two distinct
+    # involutions x, y generate the dihedral group of order 2 ord(xy)
     g = _make(kind, args)
     involutions = [x for x in range(g.n) if g.orders[x] == 2]
     pairs = [(x, y) for i, x in enumerate(involutions) for y in involutions[i + 1 :]]

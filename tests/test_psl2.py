@@ -74,6 +74,17 @@ def test_class_order_matrix_oracle_full_sweep():
             assert psl2 in (formula, formula // 2)
 
 
+@pytest.mark.parametrize("ell", [5, 7, 11])
+def test_matrix_orders_match_the_atlas_orders(ell):
+    # the PSL2 order from powering each element's matrix against the atlas's
+    # element orders, which come from power walks over ids
+    atlas = Psl2Atlas(ell)
+    for i, mat in enumerate(atlas.elements):
+        sl2, psl2 = matrix_orders(ell, mat)
+        assert psl2 == atlas.orders[i], mat
+        assert sl2 in (psl2, 2 * psl2), mat
+
+
 def test_deterministic_generators():
     assert primitive_root(97) == 5
     zt = norm_one_generator(97)
