@@ -64,6 +64,8 @@ class CheckFailure(Exception):
 
 
 def _expect(condition: bool, message: str):
+    """Fail with message unless condition holds.  Hot loops raise CheckFailure
+    inline instead, so a passing iteration never formats its message."""
     if not condition:
         raise CheckFailure(message)
 
@@ -261,20 +263,18 @@ def check_tower_oracle_sweep() -> dict:
     for spec in specs:
         predicted = predicted_jumps(spec)
         oracle = oracle_jumps(spec)
-        _expect(
-            predicted == oracle,
-            f"jump mismatch on {spec.to_dict()}: recurrence {predicted}, oracle {oracle}",
-        )
+        if predicted != oracle:
+            raise CheckFailure(
+                f"jump mismatch on {spec.to_dict()}: recurrence {predicted}, oracle {oracle}"
+            )
     rng = random.Random(20260810)
     randomized = 0
     for _ in range(200):
         spec = random_tower_spec(rng)
         predicted = predicted_jumps(spec)
         oracle = oracle_jumps(spec)
-        _expect(
-            predicted == oracle,
-            f"jump mismatch on random {spec.to_dict()}: {predicted} vs {oracle}",
-        )
+        if predicted != oracle:
+            raise CheckFailure(f"jump mismatch on random {spec.to_dict()}: {predicted} vs {oracle}")
         randomized += 1
     return {"sweep_specs": len(specs), "random_specs": randomized}
 
@@ -290,7 +290,8 @@ def random_compatible_target(
         for seq in enumerate_admissible(inertia, bound)
         if deformation_compatible(inertia, base, seq)
     ]
-    _expect(bool(options), f"no compatible targets above {base}")
+    if not options:
+        raise CheckFailure(f"no compatible targets above {base}")
     return rng.choice(options)
 
 
@@ -304,10 +305,10 @@ def check_deformation_random() -> dict:
         target = random_compatible_target(spec, rng)
         scale = rng.randint(1, spec.p - 1)
         verdict = verify_deformation(spec, target, scale)
-        _expect(
-            verdict.ok,
-            f"deformation failed on {spec.to_dict()} -> {target}: {verdict.message}",
-        )
+        if not verdict.ok:
+            raise CheckFailure(
+                f"deformation failed on {spec.to_dict()} -> {target}: {verdict.message}"
+            )
         done += 1
     return {"pairs": done}
 
@@ -392,12 +393,12 @@ def check_tame_base_change() -> dict:
         changed_inertia, changed_seq = tame_base_change(inertia_type_of(spec), base, 1)
         # substitution oracle: the same polynomial read over the trivial tame layer
         substituted = TowerSpec(p=p, m=1, r=1, x_polys=(poly,), residue_class=0)
-        _expect(
+        if not (
             predicted_jumps(substituted) == changed_seq
             and oracle_jumps(substituted) == changed_seq
-            and inertia_type_of(substituted) == changed_inertia,
-            f"substitution disagrees with jump scaling on {spec.to_dict()}",
-        )
+            and inertia_type_of(substituted) == changed_inertia
+        ):
+            raise CheckFailure(f"substitution disagrees with jump scaling on {spec.to_dict()}")
         done += 1
     return {"towers": done}
 
@@ -428,9 +429,11 @@ def check_herbrand_roundtrip() -> dict:
         upper = random_admissible(inertia, rng)
         lower = lower_from_upper(inertia, upper)
         for h in lower:
-            _expect(h.denominator == 1 and h > 0, f"non-integral lower jump {h}")
+            if not (h.denominator == 1 and h > 0):
+                raise CheckFailure(f"non-integral lower jump {h}")
         back = upper_from_lower(inertia, list(lower))
-        _expect(back == upper, f"round trip failed: {upper} -> {lower} -> {back}")
+        if back != upper:
+            raise CheckFailure(f"round trip failed: {upper} -> {lower} -> {back}")
     return {"filtrations": 200}
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import gcd
 
 from .checks import REGISTRY, run_check
@@ -366,7 +367,10 @@ def emit(payload: dict, rows, fmt: str):
         print(f"{key}: {_flatten(payload[key])}")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It records only the
+    subcommand name; main looks its _cmd_* handler up when it dispatches."""
     parser = argparse.ArgumentParser(
         prog="wildram",
         description="exact computations for wildly ramified one-point covers",
@@ -377,37 +381,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, configure):
-        p = sub.add_parser(name, parents=[common])
-        configure(p)
-        p.set_defaults(handler=handler)
+    def add(name, configure):
+        configure(sub.add_parser(name, parents=[common]))
 
-    add("params", _cmd_params, lambda p: [
+    add("params", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--ell", type=int, required=True),
     ])
-    add("triple", _cmd_triple, lambda p: [
+    add("triple", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--ell", type=int, required=True),
     ])
-    add("candidates", _cmd_candidates, lambda p: [
+    add("candidates", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--ell", type=int, required=True),
     ])
-    add("admissible", _cmd_admissible, lambda p: [
+    add("admissible", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--m", type=int, required=True),
         p.add_argument("--mI", type=int, default=None),
         p.add_argument("--jumps", required=True, help="comma separated rationals, e.g. 3/2"),
     ])
-    add("enumerate", _cmd_enumerate, lambda p: [
+    add("enumerate", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--m", type=int, required=True),
         p.add_argument("--mI", type=int, default=None),
         p.add_argument("--r", type=int, required=True),
         p.add_argument("--bound", required=True),
     ])
-    add("genus", _cmd_genus, lambda p: [
+    add("genus", lambda p: [
         p.add_argument("--order", type=int, required=True),
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--m", type=int, required=True),
@@ -415,43 +417,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=int, default=None),
         p.add_argument("--jumps", required=True),
     ])
-    add("base-sigma", _cmd_base_sigma, lambda p: [
+    add("base-sigma", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--ell", type=int, required=True),
         p.add_argument("--m", type=int, required=True),
         p.add_argument("--mI", type=int, default=None),
         p.add_argument("--r", type=int, default=1),
     ])
-    add("tower-predict", _cmd_tower_predict, lambda p: [
+    add("tower-predict", lambda p: [
         p.add_argument("--spec", required=True, help="path to a tower file"),
     ])
-    add("tower-oracle", _cmd_tower_oracle, lambda p: [
+    add("tower-oracle", lambda p: [
         p.add_argument("--spec", required=True),
     ])
-    add("deform", _cmd_deform, lambda p: [
+    add("deform", lambda p: [
         p.add_argument("--spec", required=True),
         p.add_argument("--target", required=True, help="target jumps, comma separated"),
         p.add_argument("--scale", type=int, default=1),
         p.add_argument("--out", default=None, help="write the deformed tower here"),
     ])
-    add("tails", _cmd_tails, lambda p: [
+    add("tails", lambda p: [
         p.add_argument("--mG", type=int, required=True),
         p.add_argument("--prim", type=int, required=True),
         p.add_argument("--new-min", type=int, default=0),
         p.add_argument("--new-max", type=int, default=None),
         p.add_argument("--bound", default=None),
     ])
-    add("infer", _cmd_infer, lambda p: [
+    add("infer", lambda p: [
         p.add_argument("--sigma", required=True),
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--mG", type=int, required=True),
     ])
-    add("verify-group", _cmd_verify_group, lambda p: [
+    add("verify-group", lambda p: [
         p.add_argument("--p", type=int, required=True),
         p.add_argument("--ell", type=int, required=True),
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET),
     ])
-    add("check-all", _cmd_check_all, lambda p: [
+    add("check-all", lambda p: [
         p.add_argument("--budget-subgroup", type=int, default=DEFAULT_BUDGET),
     ])
     return parser
@@ -463,8 +465,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
-        payload, rows, code = args.handler(args)
+        payload, rows, code = handler(args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import takewhile
+from operator import not_
 
 NEG_INFINITY = float("-inf")
 
@@ -144,8 +146,8 @@ class FpPolynomial:
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         c = [x % self.p for x in self.coeffs]
-        while c and c[-1] == 0:
-            c.pop()
+        if c and not c[-1]:  # cut the trailing zeros off in one slice
+            del c[len(c) - len(list(takewhile(not_, reversed(c)))) :]
         object.__setattr__(self, "coeffs", tuple(c))
 
     @classmethod

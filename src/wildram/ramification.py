@@ -6,7 +6,8 @@ u_1 < ... < u_r.  This module decides which jump sequences can occur
 (conditions (a)-(d) below), converts between upper and lower numbering
 with the two piecewise-linear Herbrand maps, evaluates the ramification
 divisor degree and the genus of a cover with those local invariants, and
-enumerates admissible sequences exactly.
+enumerates admissible sequences exactly.  Conditions (a)-(d), the Herbrand
+maps and the divisor degree are evaluated on the integers n_i = m u_i.
 
 A sequence is admissible for I = (p, r, m, m_I) when
 
@@ -44,10 +45,13 @@ class JumpSequence:
     def __post_init__(self):
         if not self.jumps:
             raise ValueError("a jump sequence has at least one jump")
-        values = tuple(Fraction(u) for u in self.jumps)
-        if any(u <= 0 for u in values):
+        values = tuple(u if isinstance(u, Fraction) else Fraction(u) for u in self.jumps)
+        if any(u.numerator <= 0 for u in values):
             raise ValueError(f"jumps must be positive: {values}")
-        if any(a >= b for a, b in zip(values, values[1:])):
+        if any(
+            a.numerator * b.denominator >= b.numerator * a.denominator
+            for a, b in zip(values, values[1:])
+        ):
             raise ValueError(f"jumps must be strictly increasing: {values}")
         object.__setattr__(self, "jumps", values)
 
@@ -109,61 +113,84 @@ class AdmissibilityVerdict:
         }
 
 
+def _numerators(m: int, seq: JumpSequence) -> list[int] | None:
+    """The integers n_i = m u_i, or None when some u_i is off the grid
+    (1/m) Z.  A u in lowest terms lies on it exactly when its denominator
+    divides m."""
+    n = []
+    for u in seq:
+        q, rem = divmod(m, u.denominator)
+        if rem:
+            return None
+        n.append(u.numerator * q)
+    return n
+
+
 def is_admissible(inertia: InertiaType, seq: JumpSequence) -> AdmissibilityVerdict:
     """Evaluate conditions (a)-(d) exactly; see the module docstring."""
+    return _evaluate(inertia, seq)[0]
+
+
+# ConditionResult is immutable, so every verdict shares these.
+_PASSED = {name: ConditionResult(name, True) for name in "abcd"}
+_SKIPPED = tuple(ConditionResult(name, None) for name in "bcd")
+
+
+def _evaluate(
+    inertia: InertiaType, seq: JumpSequence
+) -> tuple[AdmissibilityVerdict, list[int] | None]:
+    """The verdict on seq and its numerators n_i = m u_i (None off the grid)."""
     if len(seq) != inertia.r:
         raise ValueError(f"sequence length {len(seq)} does not match r = {inertia.r}")
     p, m, m_I = inertia.p, inertia.m, inertia.m_I
-    scaled = [m * u for u in seq]
+    n = _numerators(m, seq)
+    if n is None:
+        bad = next(u for u in seq if m % u.denominator)
+        witness = f"m*u = {format_rational(Fraction(m * bad.numerator, bad.denominator))}"
+        return AdmissibilityVerdict(False, (ConditionResult("a", False, witness),) + _SKIPPED), n
 
-    bad_a = next((u for u in scaled if u.denominator != 1), None)
-    cond_a = ConditionResult(
-        "a", bad_a is None, None if bad_a is None else f"m*u = {format_rational(bad_a)}"
-    )
-    if bad_a is not None:
-        conds = (cond_a,) + tuple(ConditionResult(x, None) for x in "bcd")
-        return AdmissibilityVerdict(False, conds)
-
-    n = [int(u) for u in scaled]
     g = gcd(m, n[0])
-    cond_b = ConditionResult(
-        "b", g == m // m_I, None if g == m // m_I else f"gcd({m}, {n[0]}) = {g} != {m // m_I}"
-    )
-
-    ok_c, wit_c = True, None
-    if n[0] % p == 0:
-        ok_c, wit_c = False, f"p | m*u_1 = {n[0]}"
+    if g == m // m_I:
+        cond_b = _PASSED["b"]
     else:
-        for i in range(1, len(seq)):
-            if seq[i] == p * seq[i - 1]:
+        cond_b = ConditionResult("b", False, f"gcd({m}, {n[0]}) = {g} != {m // m_I}")
+
+    cond_c = _PASSED["c"]
+    if n[0] % p == 0:
+        cond_c = ConditionResult("c", False, f"p | m*u_1 = {n[0]}")
+    else:
+        for i in range(1, len(n)):
+            grown = p * n[i - 1]
+            if n[i] == grown:
                 continue
-            if seq[i] > p * seq[i - 1] and n[i] % p != 0:
+            if n[i] > grown and n[i] % p != 0:
                 continue
-            ok_c = False
-            if seq[i] < p * seq[i - 1]:
-                wit_c = f"u_{i + 1} = {format_rational(seq[i])} < p*u_{i} = {format_rational(p * seq[i - 1])}"
+            if n[i] < grown:
+                wit_c = f"u_{i + 1} = {format_rational(seq[i])} < p*u_{i} = {format_rational(Fraction(grown, m))}"
             else:
                 wit_c = f"p | m*u_{i + 1} = {n[i]} while u_{i + 1} > p*u_{i}"
+            cond_c = ConditionResult("c", False, wit_c)
             break
-    cond_c = ConditionResult("c", ok_c, wit_c)
 
+    cond_d = _PASSED["d"]
     bad_d = next((i for i in range(len(n)) if n[i] % m != n[0] % m), None)
-    cond_d = ConditionResult(
-        "d",
-        bad_d is None,
-        None if bad_d is None else f"m*u_{bad_d + 1} = {n[bad_d]} != {n[0]} (mod {m})",
-    )
+    if bad_d is not None:
+        cond_d = ConditionResult(
+            "d", False, f"m*u_{bad_d + 1} = {n[bad_d]} != {n[0]} (mod {m})"
+        )
 
-    conds = (cond_a, cond_b, cond_c, cond_d)
-    return AdmissibilityVerdict(all(c.ok for c in conds), conds)
+    conds = (_PASSED["a"], cond_b, cond_c, cond_d)
+    return AdmissibilityVerdict(all(c.ok for c in conds), conds), n
 
 
-def _require_admissible(inertia: InertiaType, seq: JumpSequence, what: str):
-    verdict = is_admissible(inertia, seq)
+def _require_admissible(inertia: InertiaType, seq: JumpSequence, what: str) -> list[int]:
+    """The numerators n_i = m u_i of seq, which must be admissible."""
+    verdict, n = _evaluate(inertia, seq)
     if not verdict.admissible:
         raise ValueError(
             f"{what} needs an admissible sequence; {seq} fails condition ({verdict.failed})"
         )
+    return n
 
 
 def leq(seq: JumpSequence, other: JumpSequence) -> bool:
@@ -178,32 +205,22 @@ def deformation_compatible(
 ) -> bool:
     """Whether target can replace seq: admissible, componentwise >= and
     m u_1 = m u_1' (mod m)."""
-    _require_admissible(inertia, seq, "deformation_compatible")
+    n = _require_admissible(inertia, seq, "deformation_compatible")
     if len(target) != len(seq):
         raise ValueError("target sequence has the wrong length")
-    if not is_admissible(inertia, target).admissible:
+    verdict, n_target = _evaluate(inertia, target)
+    if not verdict.admissible:
         return False
-    if not leq(seq, target):
+    if any(a > b for a, b in zip(n, n_target)):
         return False
-    m = inertia.m
-    return (m * seq[0] - m * target[0]) % m == 0
+    return (n[0] - n_target[0]) % inertia.m == 0
 
 
 def divisor_degree(inertia: InertiaType, seq: JumpSequence) -> int:
     """deg(R) = m p^r - 1 + (p-1) m sum(p^(i-1) u_i), an exact integer."""
-    _require_admissible(inertia, seq, "divisor_degree")
+    n = _require_admissible(inertia, seq, "divisor_degree")
     p, m, r = inertia.p, inertia.m, inertia.r
-    total = Fraction(m * p**r - 1)
-    acc = Fraction(0)
-    for i, u in enumerate(seq):
-        acc += p**i * u
-    total += (p - 1) * m * acc
-    if total.denominator != 1:
-        raise RuntimeError(
-            f"ramification divisor degree {total} is not integral; "
-            "an inadmissible sequence slipped through"
-        )
-    return int(total)
+    return m * p**r - 1 + (p - 1) * sum(p**i * n_i for i, n_i in enumerate(n))
 
 
 @dataclass(frozen=True)
@@ -249,33 +266,40 @@ def genus(group_order: int, inertia: InertiaType, seq: JumpSequence) -> GenusRes
 def upper_from_lower(inertia: InertiaType, lower) -> JumpSequence:
     """Apply the Herbrand map to lower jumps (positive integers).
 
-    Slope is 1/m up to h_1 and 1/(m p^(i-1)) on (h_{i-1}, h_i].
+    Slope is 1/m up to h_1 and 1/(m p^(i-1)) on (h_{i-1}, h_i], so every
+    u_i is U_i / (m p^(r-1)) with U_1 = h_1 p^(r-1) and
+    U_i = U_{i-1} + (h_i - h_{i-1}) p^(r-i).
     """
     values = [Fraction(h) for h in lower]
     if len(values) != inertia.r:
         raise ValueError(f"expected {inertia.r} lower jumps, got {len(values)}")
-    if any(h.denominator != 1 or h <= 0 for h in values):
+    if any(h.denominator != 1 or h.numerator <= 0 for h in values):
         raise ValueError(f"lower jumps must be positive integers: {values}")
-    if any(a >= b for a, b in zip(values, values[1:])):
+    h = [v.numerator for v in values]
+    if any(a >= b for a, b in zip(h, h[1:])):
         raise ValueError(f"lower jumps must be strictly increasing: {values}")
-    if int(values[0]) % inertia.p == 0:
+    if h[0] % inertia.p == 0:
         raise ValueError(f"first lower jump {values[0]} must be prime to p")
-    p, m = inertia.p, inertia.m
-    out = [values[0] / m]
-    for i in range(1, len(values)):
-        out.append(out[-1] + (values[i] - values[i - 1]) / (m * p**i))
+    p, m, r = inertia.p, inertia.m, inertia.r
+    scale = m * p ** (r - 1)
+    acc = h[0] * p ** (r - 1)
+    out = [Fraction(acc, scale)]
+    for i in range(1, r):
+        acc += (h[i] - h[i - 1]) * p ** (r - 1 - i)
+        out.append(Fraction(acc, scale))
     return JumpSequence(tuple(out))
 
 
 def lower_from_upper(inertia: InertiaType, seq: JumpSequence) -> JumpSequence:
-    """Exact inverse of upper_from_lower; input must be admissible."""
-    _require_admissible(inertia, seq, "lower_from_upper")
-    p, m = inertia.p, inertia.m
-    out = [m * seq[0]]
-    for i in range(1, len(seq)):
-        out.append(out[-1] + m * p**i * (seq[i] - seq[i - 1]))
-    if any(h.denominator != 1 for h in out):
-        raise RuntimeError(f"non-integral lower jumps {out} from an admissible sequence")
+    """Exact inverse of upper_from_lower; input must be admissible.
+
+    h_1 = n_1 and h_i = h_{i-1} + p^(i-1) (n_i - n_{i-1}) with n_i = m u_i.
+    """
+    n = _require_admissible(inertia, seq, "lower_from_upper")
+    p = inertia.p
+    out = [n[0]]
+    for i in range(1, len(n)):
+        out.append(out[-1] + p**i * (n[i] - n[i - 1]))
     return JumpSequence(tuple(out))
 
 

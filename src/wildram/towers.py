@@ -108,15 +108,15 @@ def predicted_jumps(t: TowerSpec) -> JumpSequence:
     verdict = validate_spec(t)
     if not verdict.valid:
         raise ValueError(f"invalid tower: {verdict.violations[0]}")
-    out: list[Fraction] = []
+    n: list[int] = []  # n_i = m u_i
     for i, poly in enumerate(t.x_polys):
         if i == 0:
-            out.append(Fraction(poly.degree, t.m))
+            n.append(poly.degree)
         elif poly.is_zero:
-            out.append(t.p * out[-1])
+            n.append(t.p * n[-1])
         else:
-            out.append(max(Fraction(poly.degree, t.m), t.p * out[-1]))
-    return JumpSequence(tuple(out))
+            n.append(max(poly.degree, t.p * n[-1]))
+    return JumpSequence(tuple(Fraction(n_i, t.m) for n_i in n))
 
 
 def oracle_supported(t: TowerSpec) -> bool:

@@ -361,6 +361,13 @@ def test_verify_group_matches_its_golden_report(capsys, p, ell, budget, code):
                "--budget", str(budget)) == (code, golden, "")
 
 
+def test_check_all_matches_its_golden_stream(capsys):
+    # the whole data stream byte for byte; the seconds go to stderr only
+    golden = (GOLDEN / "check-all.json").read_text(encoding="ascii")
+    code, out, _ = run(capsys, "check-all", "--format", "json")
+    assert (code, out) == (0, golden)
+
+
 def test_internal_fault_is_reported_not_raised(capsys, monkeypatch):
     # an invariant breach (RuntimeError) inside a handler: a one-line report
     # on stderr, nothing on stdout, exit 2, no traceback

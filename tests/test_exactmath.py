@@ -197,6 +197,32 @@ def test_as_reduce_properties(p):
         assert as_reduce(g + shift.pth_power() - shift) == reduced
 
 
+def popping_normalization(p, coeffs):
+    """The normalization oracle: reduce mod p, then pop trailing zeros one
+    at a time."""
+    c = [x % p for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def test_trailing_zeros_are_cut_as_the_popping_loop_cuts_them():
+    # x^780 + 2x^7 at p = 13: x^780 -> x^60 leaves 720 zeros above x^60 in
+    # the sweep's working list, and the witness is w = x^60
+    p = 13
+    work, shift = [0] * 781, [0] * 61
+    work[7], work[60], shift[60] = 2, 1, 1
+    reduced, w = as_reduce_with_witness(FpPolynomial.from_terms(p, {780: 1, 7: 2}))
+    assert (reduced.coeffs, w.coeffs) == (popping_normalization(p, work), popping_normalization(p, shift))
+    assert (reduced.degree, w.degree) == (60, 60)
+    rng = random.Random(13)
+    for _ in range(300):
+        p = rng.choice((3, 5, 13))
+        coeffs = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randint(0, 8))]
+        coeffs += [rng.choice((0, p, -p)) for _ in range(rng.randint(0, 30))]
+        assert FpPolynomial(p, tuple(coeffs)).coeffs == popping_normalization(p, coeffs)
+
+
 def test_as_reduce_cancellation():
     # x^4 + 2x^12 is a full w^p - w image shift away from zero (p = 3)
     g = FpPolynomial.from_terms(3, {4: 1, 12: 2})

@@ -3,12 +3,18 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildram.checks import naive_admissible_filter, random_admissible, random_inertia
+from wildram.exactmath import format_rational
 from wildram.psl2 import InertiaType, group_params, inertia_candidates
 from wildram.ramification import (
+    AdmissibilityVerdict,
+    ConditionResult,
     JumpSequence,
     base_sigma,
     deformation_compatible,
@@ -206,3 +212,291 @@ def test_base_sigma():
     assert base_sigma(D49, 97) is None
     with pytest.raises(ValueError):
         base_sigma(D49, 13)  # a = 1 admits no r = 2 candidate
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the Fraction-based admissibility test, deformation
+# order, divisor degree and Herbrand maps, kept verbatim, against which the
+# integer evaluation on n_i = m u_i is compared.
+
+
+def reference_is_admissible(inertia: InertiaType, seq: JumpSequence) -> AdmissibilityVerdict:
+    """Evaluate conditions (a)-(d) exactly; see the module docstring."""
+    if len(seq) != inertia.r:
+        raise ValueError(f"sequence length {len(seq)} does not match r = {inertia.r}")
+    p, m, m_I = inertia.p, inertia.m, inertia.m_I
+    scaled = [m * u for u in seq]
+
+    bad_a = next((u for u in scaled if u.denominator != 1), None)
+    cond_a = ConditionResult(
+        "a", bad_a is None, None if bad_a is None else f"m*u = {format_rational(bad_a)}"
+    )
+    if bad_a is not None:
+        conds = (cond_a,) + tuple(ConditionResult(x, None) for x in "bcd")
+        return AdmissibilityVerdict(False, conds)
+
+    n = [int(u) for u in scaled]
+    g = gcd(m, n[0])
+    cond_b = ConditionResult(
+        "b", g == m // m_I, None if g == m // m_I else f"gcd({m}, {n[0]}) = {g} != {m // m_I}"
+    )
+
+    ok_c, wit_c = True, None
+    if n[0] % p == 0:
+        ok_c, wit_c = False, f"p | m*u_1 = {n[0]}"
+    else:
+        for i in range(1, len(seq)):
+            if seq[i] == p * seq[i - 1]:
+                continue
+            if seq[i] > p * seq[i - 1] and n[i] % p != 0:
+                continue
+            ok_c = False
+            if seq[i] < p * seq[i - 1]:
+                wit_c = f"u_{i + 1} = {format_rational(seq[i])} < p*u_{i} = {format_rational(p * seq[i - 1])}"
+            else:
+                wit_c = f"p | m*u_{i + 1} = {n[i]} while u_{i + 1} > p*u_{i}"
+            break
+    cond_c = ConditionResult("c", ok_c, wit_c)
+
+    bad_d = next((i for i in range(len(n)) if n[i] % m != n[0] % m), None)
+    cond_d = ConditionResult(
+        "d",
+        bad_d is None,
+        None if bad_d is None else f"m*u_{bad_d + 1} = {n[bad_d]} != {n[0]} (mod {m})",
+    )
+
+    conds = (cond_a, cond_b, cond_c, cond_d)
+    return AdmissibilityVerdict(all(c.ok for c in conds), conds)
+
+
+def reference_require_admissible(inertia: InertiaType, seq: JumpSequence, what: str):
+    verdict = reference_is_admissible(inertia, seq)
+    if not verdict.admissible:
+        raise ValueError(
+            f"{what} needs an admissible sequence; {seq} fails condition ({verdict.failed})"
+        )
+
+
+def reference_leq(seq: JumpSequence, other: JumpSequence) -> bool:
+    """Componentwise partial order on sequences of equal length."""
+    if len(seq) != len(other):
+        raise ValueError("sequences of different lengths are not comparable")
+    return all(a <= b for a, b in zip(seq, other))
+
+
+def reference_deformation_compatible(
+    inertia: InertiaType, seq: JumpSequence, target: JumpSequence
+) -> bool:
+    """Whether target can replace seq: admissible, componentwise >= and
+    m u_1 = m u_1' (mod m)."""
+    reference_require_admissible(inertia, seq, "deformation_compatible")
+    if len(target) != len(seq):
+        raise ValueError("target sequence has the wrong length")
+    if not reference_is_admissible(inertia, target).admissible:
+        return False
+    if not reference_leq(seq, target):
+        return False
+    m = inertia.m
+    return (m * seq[0] - m * target[0]) % m == 0
+
+
+def reference_divisor_degree(inertia: InertiaType, seq: JumpSequence) -> int:
+    """deg(R) = m p^r - 1 + (p-1) m sum(p^(i-1) u_i), an exact integer."""
+    reference_require_admissible(inertia, seq, "divisor_degree")
+    p, m, r = inertia.p, inertia.m, inertia.r
+    total = Fraction(m * p**r - 1)
+    acc = Fraction(0)
+    for i, u in enumerate(seq):
+        acc += p**i * u
+    total += (p - 1) * m * acc
+    if total.denominator != 1:
+        raise RuntimeError(
+            f"ramification divisor degree {total} is not integral; "
+            "an inadmissible sequence slipped through"
+        )
+    return int(total)
+
+
+def reference_upper_from_lower(inertia: InertiaType, lower) -> JumpSequence:
+    """Apply the Herbrand map to lower jumps (positive integers).
+
+    Slope is 1/m up to h_1 and 1/(m p^(i-1)) on (h_{i-1}, h_i].
+    """
+    values = [Fraction(h) for h in lower]
+    if len(values) != inertia.r:
+        raise ValueError(f"expected {inertia.r} lower jumps, got {len(values)}")
+    if any(h.denominator != 1 or h <= 0 for h in values):
+        raise ValueError(f"lower jumps must be positive integers: {values}")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"lower jumps must be strictly increasing: {values}")
+    if int(values[0]) % inertia.p == 0:
+        raise ValueError(f"first lower jump {values[0]} must be prime to p")
+    p, m = inertia.p, inertia.m
+    out = [values[0] / m]
+    for i in range(1, len(values)):
+        out.append(out[-1] + (values[i] - values[i - 1]) / (m * p**i))
+    return JumpSequence(tuple(out))
+
+
+def reference_lower_from_upper(inertia: InertiaType, seq: JumpSequence) -> JumpSequence:
+    """Exact inverse of upper_from_lower; input must be admissible."""
+    reference_require_admissible(inertia, seq, "lower_from_upper")
+    p, m = inertia.p, inertia.m
+    out = [m * seq[0]]
+    for i in range(1, len(seq)):
+        out.append(out[-1] + m * p**i * (seq[i] - seq[i - 1]))
+    if any(h.denominator != 1 for h in out):
+        raise RuntimeError(f"non-integral lower jumps {out} from an admissible sequence")
+    return JumpSequence(tuple(out))
+
+
+def outcome(f, *args):
+    """A call's value, or the type and text of the error it raised."""
+    try:
+        value = f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, AdmissibilityVerdict):
+        return "verdict", value.to_dict(), value.failed
+    if isinstance(value, JumpSequence):
+        return "jumps", value.jumps, [type(u) for u in value.jumps]
+    return "value", value
+
+
+def assert_matches_references(inertia: InertiaType, seq: JumpSequence, target):
+    """The integer layer and the reference oracles agree on every result,
+    verdict, witness and error message at (inertia, seq).  An inadmissible
+    seq is refused by one shared check, so divisor_degree alone stands for
+    the refusals of lower_from_upper and deformation_compatible."""
+    verdict = outcome(is_admissible, inertia, seq)
+    assert verdict == outcome(reference_is_admissible, inertia, seq)
+    assert outcome(divisor_degree, inertia, seq) == outcome(
+        reference_divisor_degree, inertia, seq
+    )
+    scaled = [inertia.m * u for u in seq]  # lower jumps only on the grid
+    assert outcome(upper_from_lower, inertia, scaled) == outcome(
+        reference_upper_from_lower, inertia, scaled
+    )
+    if not verdict[1]["admissible"]:
+        return
+    lower = outcome(lower_from_upper, inertia, seq)
+    assert lower == outcome(reference_lower_from_upper, inertia, seq)
+    hs = list(lower[1])
+    assert outcome(upper_from_lower, inertia, hs) == outcome(
+        reference_upper_from_lower, inertia, hs
+    )
+    assert upper_from_lower(inertia, hs) == seq
+    assert outcome(deformation_compatible, inertia, seq, target) == outcome(
+        reference_deformation_compatible, inertia, seq, target
+    )
+
+
+def small_inertia_types(primes=(3, 5, 7), max_m=6, max_r=3):
+    for p in primes:
+        for m in range(1, max_m + 1):
+            if gcd(m, p) != 1:
+                continue
+            for m_I in range(1, m + 1):
+                if gcd(m, p - 1) % m_I == 0:
+                    for r in range(1, max_r + 1):
+                        yield InertiaType(p=p, r=r, m=m, m_I=m_I)
+
+
+def test_integer_layer_matches_references_on_every_small_grid_tuple():
+    # every strictly increasing tuple n_1 < ... < n_r <= top on (1/m) Z, every
+    # admissible one against every other as a deformation target
+    tops = {1: 18, 2: 15, 3: 11}
+    shapes = grid_tuples = admissible_pairs = 0
+    for inertia in small_inertia_types():
+        shapes += 1
+        m = inertia.m
+        grid = [
+            JumpSequence(tuple(Fraction(n, m) for n in ns))
+            for ns in combinations(range(1, tops[inertia.r] + 1), inertia.r)
+        ]
+        admissible = [s for s in grid if reference_is_admissible(inertia, s).admissible]
+        for s in grid:
+            assert_matches_references(inertia, s, target=admissible[-1] if admissible else None)
+        for a in admissible:
+            for b in admissible:
+                assert deformation_compatible(inertia, a, b) == reference_deformation_compatible(
+                    inertia, a, b
+                )
+        grid_tuples += len(grid)
+        admissible_pairs += len(admissible) ** 2
+    assert (shapes, grid_tuples) == (81, 27 * (18 + 105 + 165))
+    assert admissible_pairs > 1000
+
+
+def test_integer_layer_matches_references_off_the_grid():
+    # condition (a) fails: the first off-grid jump is the witness, and every
+    # map that needs an admissible sequence reports the same refusal
+    cases = [
+        (Z7, seq(Fraction(1, 2))),
+        (D7, seq(Fraction(1, 3))),
+        (D7, seq(Fraction(5, 4))),
+        (D49, seq(Fraction(1, 2), Fraction(22, 3))),
+        (D49, seq(Fraction(3, 5), Fraction(7, 2))),
+        (Z49, seq(Fraction(7, 6), Fraction(5, 2))),
+        (InertiaType(p=7, r=2, m=3, m_I=3), seq(Fraction(1, 3), Fraction(8, 9))),
+        (InertiaType(p=5, r=3, m=4, m_I=4), seq(Fraction(1, 4), Fraction(5, 4), Fraction(51, 8))),
+        (InertiaType(p=7, r=3, m=6, m_I=6), seq(Fraction(1, 6), Fraction(7, 6), Fraction(100, 7))),
+    ]
+    for inertia, s in cases:
+        verdict = is_admissible(inertia, s)
+        assert verdict.failed == "a" and all(c.ok is None for c in verdict.conditions[1:])
+        assert_matches_references(inertia, s, target=s)
+        for what in (lower_from_upper, divisor_degree):
+            assert outcome(what, inertia, s)[0] == "ValueError"
+        assert outcome(deformation_compatible, inertia, s, s) == outcome(
+            reference_deformation_compatible, inertia, s, s
+        )
+        # an off-grid target is not compatible, and raises nothing
+        base = enumerate_admissible(inertia, 60)[0]
+        assert_matches_references(inertia, base, target=s)
+        assert deformation_compatible(inertia, base, s) is False
+    assert is_admissible(D7, seq(Fraction(1, 3))).conditions[0].witness == "m*u = 2/3"
+
+
+def test_upper_from_lower_matches_reference_on_invalid_lower_jumps():
+    for lower in ([3, 3], [0, 5], [-1, 4], [7, 8], [Fraction(1, 2), 2], [2], [5, 2], [1, 2, 3]):
+        assert outcome(upper_from_lower, Z49, lower) == outcome(
+            reference_upper_from_lower, Z49, lower
+        )
+        assert outcome(upper_from_lower, Z49, lower)[0] == "ValueError"
+
+
+@st.composite
+def inertia_and_numerators(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    m = draw(st.integers(1, 12).filter(lambda m: gcd(m, p) == 1))
+    m_I = draw(st.sampled_from([d for d in range(1, m + 1) if gcd(m, p - 1) % d == 0]))
+    r = draw(st.integers(1, 4))
+    n = [draw(st.integers(1, 60))]
+    for _ in range(r - 1):
+        # the p-multiple branch of (c), a jump past it, or an out-of-order one
+        step = draw(st.sampled_from(("times-p", "above", "below")))
+        if step == "times-p":
+            n.append(p * n[-1])
+        elif step == "above":
+            n.append(p * n[-1] + draw(st.integers(1, 3 * m * p)))
+        else:
+            n.append(n[-1] + draw(st.integers(1, max(1, (p - 1) * n[-1]))))
+    denominators = [m] * r
+    if draw(st.booleans()):
+        # one jump on a finer grid, mostly off (1/m) Z
+        denominators[draw(st.integers(0, r - 1))] = m * draw(st.integers(2, 5))
+    return InertiaType(p=p, r=r, m=m, m_I=m_I), [Fraction(a, d) for a, d in zip(n, denominators)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inertia_and_numerators(), st.data())
+def test_integer_layer_matches_references_property(case, data):
+    inertia, values = case
+    values.sort()
+    if any(a >= b for a, b in zip(values, values[1:])):
+        return
+    s = JumpSequence(tuple(values))
+    shift = data.draw(st.integers(0, 3 * inertia.m))
+    target = JumpSequence(tuple(u + Fraction(shift, inertia.m) for u in values))
+    assert_matches_references(inertia, s, target=target)
