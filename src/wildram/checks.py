@@ -19,8 +19,9 @@ from .psl2 import DEFAULT_BUDGET, InertiaType, group_params, inertia_candidates,
 from .psl2 import class_representative, psl2_atlas, select_triple, verify_subgroup_claims
 from .ramification import (
     JumpSequence,
+    admissible_numerators,
     base_sigma,
-    deformation_compatible,
+    compatible_numerators,
     enumerate_admissible,
     genus,
     is_admissible,
@@ -285,10 +286,11 @@ def random_compatible_target(
     inertia = inertia_type_of(spec)
     base = predicted_jumps(spec)
     bound = base[-1] + slack
+    n = admissible_numerators(inertia, base, "deformation_compatible")
     options = [
         seq
         for seq in enumerate_admissible(inertia, bound)
-        if deformation_compatible(inertia, base, seq)
+        if compatible_numerators(inertia, n, seq) is not None
     ]
     if not options:
         raise CheckFailure(f"no compatible targets above {base}")

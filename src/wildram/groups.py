@@ -18,15 +18,16 @@ lattice method (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*).  Since g<x, y>g^-1 = <gxg^-1, gyg^-1>, every subgroup generated
 by two cyclic subgroups is conjugate to some <x, y> with <x> one
 representative per conjugacy class of cyclic subgroups and <y> one
-representative per orbit of the normalizer N(<x>) on the cyclic subgroups.
-Only those pairs are closed; each new closure brings its whole conjugacy
-class, and the search records which class each listed subgroup is in
-(``class_number``), so questions invariant under conjugation are asked
-once per class.  A listed subgroup is its sorted ids and a generating
-tuple: the pair its class's first closure was closed on, conjugated into
-it.  The first pair of cyclic subgroups that generates it, which a walk
-over all pairs would have met first, is searched only when asked for
-(``_first_generating_pair``).
+representative per orbit of the normalizer N(<x>) on the cyclic subgroups;
+as <x, y> = <y, x>, the class of <y> can be taken to come no earlier than
+that of <x>.  Only those pairs are closed; each new closure brings its
+whole conjugacy class, and the search records which class each listed
+subgroup is in (``class_number``), so questions invariant under
+conjugation are asked once per class.  A listed subgroup is its sorted ids
+and a generating tuple: the pair its class's first closure was closed on,
+conjugated into it.  The first pair of cyclic subgroups that generates it,
+which a walk over all pairs would have met first, is searched only when
+asked for (``_first_generating_pair``).
 
 The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
@@ -34,7 +35,8 @@ the steps from the cyclic class representatives; the certificate takes one
 from every class of listed subgroups and finds nothing new.  Most of those
 closures are the whole group, the costliest to search; a subclass that can
 prove a closure whole without searching it overrides ``_proves_whole``
-(PSL2 does, by a stabilizer chain on the projective line).
+(PSL2 does, by the orbit of infinity on the projective line and Lagrange's
+theorem on its stabilizer).
 """
 
 from __future__ import annotations
@@ -189,10 +191,11 @@ class FiniteGroup:
         """Every closure of a one- or two-element generating set, deduplicated,
         ordered by (size, ids).
 
-        <g, h> depends only on (<g>, <h>), and conjugating the pair
-        conjugates the closure, so only pairs (class representative <x>,
-        N(<x>)-orbit representative <y>) are closed, and each new closure
-        is added with its conjugacy class.  A non-cyclic proper subgroup
+        <g, h> depends only on (<g>, <h>), <g, h> = <h, g>, and
+        conjugating the pair conjugates the closure, so only pairs (class
+        representative <x>, N(<x>)-orbit representative <y>) with <y> in
+        the class of <x> or a later one are closed, and each new closure is
+        added with its conjugacy class.  A non-cyclic proper subgroup
         carries the pair that first closed to a member of its class,
         conjugated into it; _first_generating_pair finds the first pair of
         cyclic subgroups that generates it, for a subgroup that is printed.
@@ -210,14 +213,17 @@ class FiniteGroup:
             orbits = self._cyclic_orbits(maps)
             # the conjugacy classes as the search meets them, as lists of ids
             classes = [[whole.ids]] + [[cyclic[c].ids for c in cls] for cls in orbits]
+            lower = bytearray(len(cyclic))  # the positions of the classes done
             for cls in orbits:
-                for ids, gens in self._extensions(cyclic[cls[0]], len(cls)):
+                for ids, gens in self._extensions(cyclic[cls[0]], len(cls), lower):
                     if len(ids) == self.n:
                         continue  # the whole group, found already
                     if ids not in found and ids not in new:
                         conjugates = self._conjugacy_class(ids, gens, conjugators)
                         classes.append(list(conjugates))
                         new.update(conjugates)
+                for c in cls:
+                    lower[c] = 1
             for ids, gens in new.items():
                 found[ids] = Subgroup(ids, gens)
             self._subgroups = sorted(found.values(), key=lambda s: (s.size, s.ids))
@@ -286,14 +292,16 @@ class FiniteGroup:
             orbits.append(orbit)
         return orbits
 
-    def _extensions(self, sub: Subgroup, class_size: int):
+    def _extensions(self, sub: Subgroup, class_size: int, skip=None):
         """Yield the ids of <H, y>, H = sub, and the generators it was closed
         on, for one cyclic <y> per N(H)-orbit, skipping any <y> nested with
         H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H), these stand for
         every <H, y'> up to conjugacy.  The cyclic subgroups
         inside H form whole N(H)-orbits and are left out before the orbits
-        are taken, only the generators of the others are conjugated, and a
-        closure that _proves_whole proves whole is not searched.
+        are taken, with the positions in cyclic_subgroups() marked in
+        ``skip``, which must be a union of N(H)-orbits too; only the
+        generators of the others are conjugated, and a closure that
+        _proves_whole proves whole is not searched.
 
         ``class_size`` is the number of conjugates of H, so |N(H)| is
         n / class_size (orbit-stabilizer) and the generators of N(H) are
@@ -312,8 +320,11 @@ class FiniteGroup:
             return all(inside[y] for y in conjugates(g, hs))
 
         cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
-        skip = bytes(inside[cy.generators[0]] for cy in cyclic)
-        outside = [c for c, cy in enumerate(cyclic) if not skip[c]]
+        skip = bytearray(len(cyclic)) if skip is None else bytearray(skip)
+        for c, cy in enumerate(cyclic):
+            if inside[cy.generators[0]]:
+                skip[c] = 1
+        outside = [c for c in range(len(cyclic)) if not skip[c]]
         outside_gens = [cyclic[c].generators[0] for c in outside]
         maps = []
         for g in self._generating_set(n // class_size, normalizes):

@@ -20,8 +20,9 @@ conjugates, which gives the same list as closing every pair, and the
 subgroup claims are answered from that complete list, one question per
 conjugacy class of subgroups since each is invariant under conjugation
 ("above a D_p": an element of order p and an involution inverting it).  A
-closure that reaches the whole group is proven whole by a stabilizer chain
-of its generators' action on the projective line P^1(F_l) instead of being
+closure that reaches the whole group is proven whole from its generators'
+action on the projective line P^1(F_l), by the orbit of infinity and
+Lagrange's theorem on the stabilizer of infinity, instead of being
 searched; every other closure is still searched.  A printed witness names
 the first pair of cyclic subgroups that generates it, found by closing the
 pairs inside that subgroup only.  No budget admits a group above ORDER_LIMIT elements, the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exactmath import is_prime, least_nonresidue, prime_factors, require_odd_prime, vp
 from .groups import ORDER_LIMIT, FiniteGroup, Subgroup, check_order
@@ -404,53 +405,46 @@ class Psl2Atlas(FiniteGroup):
         return perm
 
     def _proves_whole(self, gens) -> bool:
-        """Whether <gens> is the whole group, decided on its action on
-        P^1(F_l) by a stabilizer chain with base (infinity, 0, 1).
+        """Whether <gens> = K is proven to be the whole group from its action
+        on P^1(F_l): the orbit of infinity and Lagrange's theorem on the
+        stabilizer K_inf of infinity in K.
 
-        Each level's orbit grows from the Schreier generators of the level
-        above as they are drawn (Holt, Eick and O'Brien, *Handbook of
-        Computational Group Theory*, 4.4).  Any orbits so grown give
-        |<gens>| >= |O_1| |O_2| |O_3| (orbit-stabilizer), so once that
-        product exceeds n/2 Lagrange leaves only the whole group.  The whole
-        group is 2-transitive on P^1, so a first or second orbit that closes
-        short of the points not yet fixed means False.  Only the identity
-        fixes three points, so once every Schreier generator is drawn the
-        product is the exact order, which must equal the closure's size.
-
-        A level-2 generator is first sifted into level 3 by its own Schreier
-        generator at the base point 0; the others wait until level 1 has
-        none left.
+        The whole group is transitive on the l + 1 points, so a shorter orbit
+        means False.  Otherwise |K| = (l + 1) |K_inf| (orbit-stabilizer).
+        The Schreier generators of the orbit (Holt, Eick and O'Brien,
+        *Handbook of Computational Group Theory*, 4.1-4.4) and the commutator
+        of each two consecutive ones lie in K_inf, so the lcm L of their
+        orders divides |K_inf|, and once 2 (l + 1) L > n Lagrange leaves only
+        the whole group.  Each of them must fix infinity, that is have lower
+        left entry 0, or RuntimeError.  If K is the whole group, K_inf is the
+        Borel subgroup of order l (l - 1)/2.  The Schreier generators
+        generate it, so they map onto its cyclic quotient of order
+        (l - 1)/2.  Unless one of them has order l, two consecutive ones do
+        not commute, since commuting elements of order prime to l lie in one
+        torus, and their commutator has order l.  So L reaches l (l - 1)/2
+        and every whole closure is proven; False leaves the question to
+        closure_ids.
         """
-        ell, n = self.ell, self.n
-        level1 = _Orbit(self, ell)
-        for g in gens:
-            level1.add(g)
-        if len(level1.points) <= ell:
+        ell, n, elements, orders = self.ell, self.n, self.elements, self.orders
+        mul, inverses = self.mul, self.inverses
+        orbit = _Orbit(self, gens)
+        if len(orbit.points) <= ell:
             return False
-        level2, level3 = _Orbit(self, 0), _Orbit(self, 1)
-        sifted = 0
-        for g in level1.schreier_generators():
-            level2.add(g)
-            if len(level2.points) < ell:
-                continue
-            while sifted < len(level2.gens):
-                level3.add(level2.schreier_generator(0, sifted))  # at the base point 0
-                sifted += 1
-                if 2 * (ell + 1) * ell * len(level3.points) > n:
-                    return True
-        if len(level2.points) < ell:
-            return False
-        for g in level2.schreier_generators(1):
-            level3.add(g)
-            if 2 * (ell + 1) * ell * len(level3.points) > n:
+        order_lcm, previous = 1, None
+        for s in orbit.schreier_generators():
+            fixed = [s]
+            if previous is not None and order_lcm % ell:  # a commutator has order 1 or l
+                fixed.append(mul(mul(previous, s), inverses[mul(s, previous)]))
+            for x in fixed:
+                if elements[x][2]:
+                    raise RuntimeError(
+                        f"PSL2(F_{ell}): the Schreier generator {elements[x]} of"
+                        f" {tuple(gens)} does not fix infinity"
+                    )
+                order_lcm = lcm(order_lcm, orders[x])
+            if 2 * (ell + 1) * order_lcm > n:
                 return True
-        order = (ell + 1) * ell * len(level3.points)
-        size = len(self.closure_ids(gens))
-        if order != size:
-            raise RuntimeError(
-                f"PSL2(F_{ell}): the stabilizer chain of {tuple(gens)} gives order {order},"
-                f" its closure has {size} elements"
-            )
+            previous = s
         return False
 
     def _build_elements(self):
@@ -488,43 +482,26 @@ class Psl2Atlas(FiniteGroup):
 
 
 class _Orbit:
-    """The orbit of a base point of P^1 under a growing list of elements of
-    a Psl2Atlas, and a transversal, found as it is asked for: the id
-    trans(y) maps the base point to y."""
+    """The orbit of infinity in P^1 under elements of a Psl2Atlas, and a
+    transversal, found as it is asked for: the id trans(y) maps infinity
+    to y."""
 
-    def __init__(self, atlas: Psl2Atlas, base: int):
+    def __init__(self, atlas: Psl2Atlas, gens):
+        ell = atlas.ell
         self.atlas = atlas
-        self.gens, self.perms = [], []
-        self.points = [base]
-        # parent[y] = (o, j): y is the image of o under gens[j]; () at the base
-        self.parent = [None] * (atlas.ell + 1)
-        self.parent[base] = ()
-        self._trans = {base: atlas.identity_id}
-
-    def add(self, g: int):
-        """Append the generator g, unless it is the identity or known, and
-        close the orbit under every generator."""
-        if g == self.atlas.identity_id or g in self.gens:
-            return
-        perms, points, parent = self.perms, self.points, self.parent
-        perm = self.atlas._perm(g)
-        j = len(perms)
-        self.gens.append(g)
-        perms.append(perm)
-        i = len(points)
-        for o in points[:i]:
-            y = perm[o]
-            if parent[y] is None:
-                parent[y] = (o, j)
-                points.append(y)
-        while i < len(points):
-            o = points[i]
-            i += 1
-            for k, p in enumerate(perms):
-                y = p[o]
+        self.gens = list(gens)
+        self.perms = [atlas._perm(g) for g in self.gens]
+        self.points = [ell]
+        # parent[y] = (o, j): y is the image of o under gens[j]; () at infinity
+        parent = self.parent = [None] * (ell + 1)
+        parent[ell] = ()
+        for o in self.points:  # grows while it is read
+            for j, perm in enumerate(self.perms):
+                y = perm[o]
                 if parent[y] is None:
-                    parent[y] = (o, k)
-                    points.append(y)
+                    parent[y] = (o, j)
+                    self.points.append(y)
+        self._trans = {ell: atlas.identity_id}
 
     def trans(self, y: int) -> int:
         known = self._trans
@@ -538,26 +515,19 @@ class _Orbit:
             t = known[y] = mul(gens[j], t)
         return t
 
-    def schreier_generator(self, o: int, j: int) -> int:
-        """trans(y)^-1 gens[j] trans(o) for y the image of the orbit point o:
-        an element fixing the base point, the identity on a tree edge."""
-        y = self.perms[j][o]
-        if self.parent[y] == (o, j):
-            return self.atlas.identity_id
-        mul = self.atlas.mul
-        return mul(self.atlas.inverses[self.trans(y)], mul(self.gens[j], self.trans(o)))
-
-    def schreier_generators(self, first: int = 0):
-        """Yield the Schreier generators other than the identity of the
-        points from index ``first`` on, point by point, while the orbit and
-        its generators stay fixed.  Over every point they generate the
-        stabilizer of the base point (Schreier's lemma)."""
-        identity = self.atlas.identity_id
-        for o in self.points[first:]:
-            for j in range(len(self.gens)):
-                g = self.schreier_generator(o, j)
-                if g != identity:
-                    yield g
+    def schreier_generators(self):
+        """Yield trans(y)^-1 g trans(o) for each orbit point o and generator
+        g, y = g(o), other than the identity, point by point: elements
+        fixing infinity, which generate its stabilizer (Schreier's lemma).
+        On a tree edge it is the identity and is not computed."""
+        mul, inverses, identity = self.atlas.mul, self.atlas.inverses, self.atlas.identity_id
+        for o in self.points:
+            for j, (g, perm) in enumerate(zip(self.gens, self.perms)):
+                y = perm[o]
+                if self.parent[y] != (o, j):
+                    s = mul(inverses[self.trans(y)], mul(g, self.trans(o)))
+                    if s != identity:
+                        yield s
 
 
 @lru_cache(maxsize=1)

@@ -183,8 +183,9 @@ def _evaluate(
     return AdmissibilityVerdict(all(c.ok for c in conds), conds), n
 
 
-def _require_admissible(inertia: InertiaType, seq: JumpSequence, what: str) -> list[int]:
-    """The numerators n_i = m u_i of seq, which must be admissible."""
+def admissible_numerators(inertia: InertiaType, seq: JumpSequence, what: str) -> list[int]:
+    """The numerators n_i = m u_i of seq, which must be admissible; a
+    ValueError naming ``what`` otherwise."""
     verdict, n = _evaluate(inertia, seq)
     if not verdict.admissible:
         raise ValueError(
@@ -193,11 +194,17 @@ def _require_admissible(inertia: InertiaType, seq: JumpSequence, what: str) -> l
     return n
 
 
-def leq(seq: JumpSequence, other: JumpSequence) -> bool:
-    """Componentwise partial order on sequences of equal length."""
-    if len(seq) != len(other):
-        raise ValueError("sequences of different lengths are not comparable")
-    return all(a <= b for a, b in zip(seq, other))
+def compatible_numerators(
+    inertia: InertiaType, n: list[int], target: JumpSequence
+) -> list[int] | None:
+    """The numerators m u_i' of target when it can replace the admissible
+    sequence of numerators n (see deformation_compatible), else None."""
+    if len(target) != len(n):
+        raise ValueError("target sequence has the wrong length")
+    verdict, n_target = _evaluate(inertia, target)
+    if not verdict.admissible or any(a > b for a, b in zip(n, n_target)):
+        return None
+    return n_target if (n[0] - n_target[0]) % inertia.m == 0 else None
 
 
 def deformation_compatible(
@@ -205,20 +212,13 @@ def deformation_compatible(
 ) -> bool:
     """Whether target can replace seq: admissible, componentwise >= and
     m u_1 = m u_1' (mod m)."""
-    n = _require_admissible(inertia, seq, "deformation_compatible")
-    if len(target) != len(seq):
-        raise ValueError("target sequence has the wrong length")
-    verdict, n_target = _evaluate(inertia, target)
-    if not verdict.admissible:
-        return False
-    if any(a > b for a, b in zip(n, n_target)):
-        return False
-    return (n[0] - n_target[0]) % inertia.m == 0
+    n = admissible_numerators(inertia, seq, "deformation_compatible")
+    return compatible_numerators(inertia, n, target) is not None
 
 
 def divisor_degree(inertia: InertiaType, seq: JumpSequence) -> int:
     """deg(R) = m p^r - 1 + (p-1) m sum(p^(i-1) u_i), an exact integer."""
-    n = _require_admissible(inertia, seq, "divisor_degree")
+    n = admissible_numerators(inertia, seq, "divisor_degree")
     p, m, r = inertia.p, inertia.m, inertia.r
     return m * p**r - 1 + (p - 1) * sum(p**i * n_i for i, n_i in enumerate(n))
 
@@ -295,7 +295,7 @@ def lower_from_upper(inertia: InertiaType, seq: JumpSequence) -> JumpSequence:
 
     h_1 = n_1 and h_i = h_{i-1} + p^(i-1) (n_i - n_{i-1}) with n_i = m u_i.
     """
-    n = _require_admissible(inertia, seq, "lower_from_upper")
+    n = admissible_numerators(inertia, seq, "lower_from_upper")
     p = inertia.p
     out = [n[0]]
     for i in range(1, len(n)):
@@ -311,7 +311,7 @@ def tame_base_change(
     image, and every upper jump scales by m/new_m."""
     if new_m < 1 or inertia.m % new_m != 0:
         raise ValueError(f"new tame part {new_m} does not divide m = {inertia.m}")
-    _require_admissible(inertia, seq, "tame_base_change")
+    admissible_numerators(inertia, seq, "tame_base_change")
     d = inertia.m // new_m
     new_m_I = inertia.m_I // gcd(inertia.m_I, d)
     new_inertia = InertiaType(p=inertia.p, r=inertia.r, m=new_m, m_I=new_m_I)

@@ -31,7 +31,12 @@ from math import gcd
 
 from .exactmath import FpPolynomial, as_reduce_with_witness, mul_coeffs, require_odd_prime
 from .psl2 import InertiaType
-from .ramification import JumpSequence, deformation_compatible, upper_from_lower
+from .ramification import (
+    JumpSequence,
+    admissible_numerators,
+    compatible_numerators,
+    upper_from_lower,
+)
 
 
 @dataclass(frozen=True)
@@ -255,21 +260,20 @@ def deform(t: TowerSpec, target: JumpSequence, scale: int = 1) -> TowerSpec:
     built, so every deformed tower reads back from its file."""
     base = predicted_jumps(t)
     inertia = inertia_type_of(t)
-    if not deformation_compatible(inertia, base, target):
+    n_base = admissible_numerators(inertia, base, "deformation_compatible")
+    n_target = compatible_numerators(inertia, n_base, target)  # m u_i', integers
+    if n_target is None:
         raise ValueError(f"target {target} is not deformation-compatible with {base}")
     scale = scale % t.p
     if scale == 0:
         raise ValueError("scale must be nonzero in F_p")
     new_polys = []
     for i, poly in enumerate(t.x_polys):
-        prev = target[i - 1] if i else Fraction(0)
-        if target[i] > t.p * prev and target[i] > base[i]:
-            n = t.m * target[i]
-            assert n.denominator == 1
-            _check_tower_size(t.p, int(n), i + 1)
-            bump = FpPolynomial.monomial(t.p, scale, int(n))
-            new = poly + bump
-            if new.degree != int(n):
+        n = n_target[i]
+        if n > t.p * (n_target[i - 1] if i else 0) and n > n_base[i]:
+            _check_tower_size(t.p, n, i + 1)
+            new = poly + FpPolynomial.monomial(t.p, scale, n)
+            if new.degree != n:
                 raise RuntimeError("deformation monomial failed to dominate")
             new_polys.append(new)
         else:

@@ -372,9 +372,9 @@ def test_internal_fault_is_reported_not_raised(capsys, monkeypatch):
     # an invariant breach (RuntimeError) inside a handler: a one-line report
     # on stderr, nothing on stdout, exit 2, no traceback
     def broken(args):
-        raise RuntimeError("stabilizer chain order 56 differs from the closure")
+        raise RuntimeError("a Schreier generator (0, 1, 6, 0) does not fix infinity")
 
     monkeypatch.setattr(cli, "_cmd_params", broken)
     code, out, err = run(capsys, "params", "--p", "7", "--ell", "97")
     assert code == 2 and out == ""
-    assert err == "internal error: stabilizer chain order 56 differs from the closure\n"
+    assert err == "internal error: a Schreier generator (0, 1, 6, 0) does not fix infinity\n"

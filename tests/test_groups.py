@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from wildram import psl2
+from wildram import cli, psl2
 from wildram.exactmath import is_prime, prime_factors, vp
 from wildram.groups import ORDER_LIMIT, Subgroup
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
@@ -515,24 +515,44 @@ def test_proves_whole_never_calls_a_large_proper_subgroup_whole(ell):
         assert not g._proves_whole(sub.ids[:4] + sub.generators)
 
 
-def test_a_chain_that_loses_its_generators_is_caught(monkeypatch):
-    # Schreier generators at the base point 0 replaced by the identity: the
-    # chain runs out short of the whole group's order, and the cross-check
-    # against the closure refuses it instead of answering False
-    schreier_generator = psl2._Orbit.schreier_generator
-
-    def broken(orbit, o, j):
-        if orbit.points[0] == 0:
-            return orbit.atlas.identity_id
-        return schreier_generator(orbit, o, j)
+def test_a_schreier_generator_that_moves_infinity_is_an_internal_error(monkeypatch, capsys):
+    # every Schreier generator must fix infinity; one that does not, here
+    # z -> -1/z, raises instead of entering the order bound, and the CLI
+    # reports it as an internal fault: one stderr line, no stdout, exit 2
+    def moving_infinity(orbit):
+        yield 0
 
     g = Psl2Atlas(7)
+    assert g.elements[0] == (0, 1, 6, 0)
     whole = next(gens for gens, verdict in _extension_generating_sets(7)[1] if verdict)
-    monkeypatch.setattr(psl2._Orbit, "schreier_generator", broken)
-    with pytest.raises(RuntimeError, match="stabilizer chain .* gives order 56, its closure has 168"):
+    monkeypatch.setattr(psl2._Orbit, "schreier_generators", moving_infinity)
+    with pytest.raises(RuntimeError, match=r"Schreier generator \(0, 1, 6, 0\) .* does not fix infinity"):
         g._proves_whole(whole)
-    with pytest.raises(RuntimeError, match="stabilizer chain"):
-        g.subgroups()
+    psl2_atlas.cache_clear()
+    try:
+        code = cli.main(["verify-group", "--p", "3", "--ell", "7"])
+    finally:
+        psl2_atlas.cache_clear()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("internal error: PSL2(F_7): the Schreier generator (0, 1, 6, 0)")
+    assert captured.err.endswith(" does not fix infinity\n") and captured.err.count("\n") == 1
+
+
+def test_schreier_generators_forced_to_the_identity_prove_nothing(monkeypatch):
+    # with every Schreier generator the identity the order bound never
+    # passes n/2, so _proves_whole says False and every closure of the
+    # search is searched: the list still matches the all-pairs oracle
+    def identities(orbit):
+        for _ in orbit.points:
+            yield orbit.atlas.identity_id
+
+    g = Psl2Atlas(7)  # a private atlas, as the search runs under the patch
+    whole = next(gens for gens, verdict in _extension_generating_sets(7)[1] if verdict)
+    monkeypatch.setattr(psl2._Orbit, "schreier_generators", identities)
+    assert not g._proves_whole(whole)
+    _assert_matches_all_pairs(g)
+    assert g.three_generator_stability()
 
 
 # -- the normalizer scan of the extension step, stopped at n / |class|

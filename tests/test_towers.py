@@ -1,8 +1,12 @@
 """Tower validation, the jump recurrence, the reduction oracle, deformation."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -357,6 +361,38 @@ def test_verify_deformation_randomized():
         verdict = verify_deformation(spec, target, rng.randint(1, spec.p - 1))
         assert verdict.ok, verdict.message
         done += 1
+
+
+_DEFORM_SCRIPT = """
+import random, sys
+from wildram.checks import random_compatible_target, random_tower_spec
+from wildram.ramification import JumpSequence
+from wildram.towers import deform
+print(sys.flags.optimize)
+rng = random.Random(97130713)
+for _ in range(60):
+    spec = random_tower_spec(rng, max_degree=16)
+    target = random_compatible_target(spec, rng)
+    print(deform(spec, target, rng.randint(1, spec.p - 1)).to_dict())
+    try:
+        deform(spec, JumpSequence(tuple(u + 1 for u in target)), 1)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_deform_output_is_the_same_under_python_O():
+    # deform's checks raise, so stripping asserts with -O changes nothing
+    env = dict(os.environ, PYTHONPATH=str(Path(towers.__file__).parents[1]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", _DEFORM_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split("\n", 1)
+        for flags in ([], ["-O"])
+    ]
+    assert [flag for flag, _ in runs] == ["0", "1"]
+    assert runs[0][1] == runs[1][1] and runs[0][1].count("\n") >= 60
 
 
 def test_any_nonzero_scale_gives_same_jumps():
