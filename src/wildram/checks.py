@@ -54,7 +54,6 @@ class CheckResult:
             "check": self.check_id,
             "title": self.title,
             "status": self.status,
-            "seconds": round(self.seconds, 3),
             "budget_seconds": self.budget_seconds,
             "detail": self.detail,
         }

@@ -16,6 +16,7 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,10 @@ from itertools import takewhile
 from operator import not_
 
 NEG_INFINITY = float("-inf")
+
+# an optionally signed integer n, or n/d with d unsigned, in ASCII digits
+# between optional whitespace
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def is_prime(n: int) -> bool:
@@ -79,11 +84,17 @@ def vp(n: int, p: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational written as 'n/d' or 'n'."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational value {text!r}") from exc
+    """Parse an exact rational written as 'n/d' or 'n'.
+
+    Only those forms: Fraction alone would also take decimals and exponents,
+    and '1e100000' names a number of 100001 digits in eight characters.  A
+    numeral past Python's integer-string limit is refused as well."""
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # d = 0, or past the limit
+            pass
+    raise ValueError(f"cannot parse rational value {text!r}")
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -208,9 +219,6 @@ class FpPolynomial:
         """Product over F_p by one Kronecker multiply (see mul_coeffs)."""
         self._check_same(other)
         return FpPolynomial(self.p, tuple(mul_coeffs(self.coeffs, other.coeffs, self.p)))
-
-    def scale(self, c: int) -> "FpPolynomial":
-        return FpPolynomial(self.p, tuple(x * c % self.p for x in self.coeffs))
 
     def pth_power(self) -> "FpPolynomial":
         """Frobenius image g(x)^p = g(x^p); coefficients are fixed over F_p."""

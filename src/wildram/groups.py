@@ -2,16 +2,16 @@
 
 ``mul(a, b)`` is the id of the product ab.  Two batch primitives sit next to
 it: ``products(xs, g)``, the ids of x g for each x in xs, and
-``conjugates(g, xs)``, the ids of g x g^-1.  Their defaults call ``mul``; a
-model whose product is cheaper inline overrides them, and the engine's hot
-loops (the closure frontier, the conjugation maps, the normalizer test and
-the orbit maps of the extension step) go through them.  Subclasses implement
-the product on a concrete model (2x2 matrices, residue pairs) and this class
-owns everything computed from it: element orders and inverses, closures,
-cyclic subgroups, the subgroups generated by at most two elements, and the
-structural predicates the subgroup and generation checks ask about.  No
-product is stored, so memory grows with n and with the subgroup list, never
-with n^2.
+``conjugates(g, xs)``, the ids of g x g^-1.  Each model implements
+``products``; ``conjugates`` defaults to ``mul``, and a model whose product
+is cheaper inline overrides it.  The engine's hot loops (the closure
+frontier, the conjugation maps, the normalizer test and the orbit maps of
+the extension step) go through them.  Subclasses implement the product on a
+concrete model (2x2 matrices, residue pairs) and this class owns everything
+computed from it: element orders and inverses, closures, cyclic subgroups,
+the subgroups generated by at most two elements, and the structural
+predicates the subgroup and generation checks ask about.  No product is
+stored, so memory grows with n and with the subgroup list, never with n^2.
 
 The subgroup search works up to conjugacy, after the conjugacy-class
 lattice method (Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -21,13 +21,13 @@ representative per conjugacy class of cyclic subgroups and <y> one
 representative per orbit of the normalizer N(<x>) on the cyclic subgroups;
 as <x, y> = <y, x>, the class of <y> can be taken to come no earlier than
 that of <x>.  Only those pairs are closed; each new closure brings its
-whole conjugacy class, and the search records which class each listed
-subgroup is in (``class_number``), so questions invariant under
-conjugation are asked once per class.  A listed subgroup is its sorted ids
-and a generating tuple: the pair its class's first closure was closed on,
-conjugated into it.  The first pair of cyclic subgroups that generates it,
-which a walk over all pairs would have met first, is searched only when
-asked for (``_first_generating_pair``).
+whole conjugacy class.  A listed subgroup is its sorted ids, a generating
+tuple (the pair its class's first closure was closed on, conjugated into
+it) and the number of its conjugacy class (``class_number`` on the
+record), so questions invariant under conjugation are asked once per class.
+The first pair of cyclic subgroups that generates it, which a walk over all
+pairs would have met first, is searched only when asked for
+(``_first_generating_pair``).
 
 The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
@@ -41,7 +41,7 @@ theorem on its stabilizer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .exactmath import vp
@@ -63,6 +63,8 @@ def check_order(n: int):
 class Subgroup:
     ids: tuple[int, ...]
     generators: tuple[int, ...]
+    # the conjugacy class of a subgroup in subgroups(), None on any other record
+    class_number: int | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -70,7 +72,8 @@ class Subgroup:
 
 
 class FiniteGroup:
-    """A finite group on ids 0..n-1; subclasses define the product ``mul``."""
+    """A finite group on ids 0..n-1; subclasses define the product: ``mul``
+    and ``products``."""
 
     def __init__(self, n: int, identity_id: int):
         self.n = n
@@ -78,16 +81,10 @@ class FiniteGroup:
         self._whole_ids = tuple(range(n))
         self._walk_cyclic_subgroups()
         self._subgroups = None
-        self._class_of = None
 
     def mul(self, a: int, b: int) -> int:
         """The id of the product ab."""
         raise NotImplementedError
-
-    def products(self, xs, g: int) -> list[int]:
-        """The ids of x g for each x in xs, in order."""
-        mul = self.mul
-        return [mul(x, g) for x in xs]
 
     def conjugates(self, g: int, xs) -> list[int]:
         """The ids of g x g^-1 for each x in xs, in order."""
@@ -189,7 +186,8 @@ class FiniteGroup:
 
     def subgroups(self) -> list[Subgroup]:
         """Every closure of a one- or two-element generating set, deduplicated,
-        ordered by (size, ids).
+        ordered by (size, ids), each with its conjugacy class: classes are
+        numbered 0, 1, ... by their first member in this list.
 
         <g, h> depends only on (<g>, <h>), <g, h> = <h, g>, and
         conjugating the pair conjugates the closure, so only pairs (class
@@ -201,50 +199,43 @@ class FiniteGroup:
         cyclic subgroups that generates it, for a subgroup that is printed.
         """
         if self._subgroups is None:
-            whole = self.whole_group()
-            found: dict[tuple[int, ...], Subgroup] = {whole.ids: whole}
             cyclic = self.cyclic_subgroups()
-            for sub in cyclic:
-                found.setdefault(sub.ids, sub)
-            new: dict[tuple[int, ...], tuple[int, ...]] = {}  # ids -> generators
-            conjugators = [self._conjugation(g) for g in self._generating_set(self.n)]
+            conjugators = self._conjugators()
             cyclic_of = self._cyclic_of
             maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
             orbits = self._cyclic_orbits(maps)
-            # the conjugacy classes as the search meets them, as lists of ids
-            classes = [[whole.ids]] + [[cyclic[c].ids for c in cls] for cls in orbits]
+            # ids -> (generators, class label), labelled as the search meets each class
+            found = {self._whole_ids: ((), 0)}
+            for label, cls in enumerate(orbits, 1):
+                for c in cls:
+                    found.setdefault(cyclic[c].ids, (cyclic[c].generators, label))
+            label = len(orbits)
             lower = bytearray(len(cyclic))  # the positions of the classes done
             for cls in orbits:
                 for ids, gens in self._extensions(cyclic[cls[0]], len(cls), lower):
-                    if len(ids) == self.n:
-                        continue  # the whole group, found already
-                    if ids not in found and ids not in new:
+                    # a whole closure is the whole group, found already
+                    if len(ids) < self.n and ids not in found:
+                        label += 1
                         conjugates = self._conjugacy_class(ids, gens, conjugators)
-                        classes.append(list(conjugates))
-                        new.update(conjugates)
+                        for image, image_gens in conjugates.items():
+                            found[image] = (image_gens, label)
                 for c in cls:
                     lower[c] = 1
-            for ids, gens in new.items():
-                found[ids] = Subgroup(ids, gens)
-            self._subgroups = sorted(found.values(), key=lambda s: (s.size, s.ids))
-            label = {ids: k for k, cls in enumerate(classes) for ids in cls}
-            number: dict[int, int] = {}  # renumbered by first member in list order
-            self._class_of = {
-                s.ids: number.setdefault(label[s.ids], len(number)) for s in self._subgroups
-            }
+            number: dict[int, int] = {}  # class label -> class number, in list order
+            self._subgroups = [
+                Subgroup(ids, gens, number.setdefault(label, len(number)))
+                for ids, (gens, label) in sorted(
+                    found.items(), key=lambda item: (len(item[0]), item[0])
+                )
+            ]
         return self._subgroups
 
-    def class_number(self, sub: Subgroup) -> int:
-        """The conjugacy class of a listed subgroup, as recorded by the search:
-        classes are numbered 0, 1, ... by their first member in subgroups()."""
-        self.subgroups()
-        return self._class_of[sub.ids]
+    # -- conjugation, used by the subgroup search and its certificate
 
-    # -- conjugation, used by the subgroup search
-
-    def _conjugation(self, g: int) -> list[int]:
-        """The map x -> g x g^-1 as a list over ids."""
-        return self.conjugates(g, range(self.n))
+    def _conjugators(self) -> list[list[int]]:
+        """The maps x -> g x g^-1, as lists over ids, for g in a generating set
+        of the whole group."""
+        return [self.conjugates(g, range(self.n)) for g in self._generating_set(self.n)]
 
     def _generating_set(self, order: int, member=None) -> list[int]:
         """Generators of a subgroup K of the given order, picked greedily in
@@ -444,7 +435,7 @@ class FiniteGroup:
         n = self.n
         if any(c.ids not in listed for c in self.cyclic_subgroups()):
             return False
-        conjugators = [self._conjugation(g) for g in self._generating_set(self.n)]
+        conjugators = self._conjugators()
         seen: set[tuple[int, ...]] = set()
         for sub in subs:
             if sub.ids in seen:

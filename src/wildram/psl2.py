@@ -102,10 +102,6 @@ class InertiaType:
     def dihedral(cls, p: int, r: int) -> "InertiaType":
         return cls(p=p, r=r, m=2, m_I=2)
 
-    @property
-    def group_order(self) -> int:
-        return self.m * self.p**self.r
-
     def label(self) -> str:
         q = self.p**self.r
         if self.m == 1:
@@ -608,10 +604,11 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
 
     Being abelian, of the form Z/p x| Z/m, quasi-p, or above a D_p does not
     change under conjugation, so each is decided once per conjugacy class
-    of subgroups (FiniteGroup.class_number), on the class's first member.
-    Claims (ii) and (iii) are each a search for the first counterexample in
-    list order, so the counts and the first witness of each claim are those
-    of a walk over every subgroup.
+    of subgroups, which subgroups() records on each listed Subgroup as its
+    ``class_number``, on the class's first member.  Claims (ii) and (iii)
+    are each a search for the first counterexample in list order, so the
+    counts and the first witness of each claim are those of a walk over
+    every subgroup.
 
     Refuses (claims unchecked, not falsified) when the group order exceeds
     the budget or, whatever the budget, ORDER_LIMIT.
@@ -640,7 +637,7 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
         answers = {}
 
         def ask(sub):
-            k = atlas.class_number(sub)
+            k = sub.class_number
             if k not in answers:
                 answers[k] = predicate(sub)
             return answers[k]

@@ -133,6 +133,27 @@ def test_huge_r_is_refused_before_p_to_the_r_is_built(capsys):
     assert payload["inertia"]["label"] == f"Z/{3 ** cli.R_LIMIT}"
 
 
+def test_rationals_outside_n_and_n_over_d_are_refused(capsys):
+    # Fraction alone reads exponents: '1e100000' looped once per power of p
+    # in infer, and past 4300 digits the others died on CPython's
+    # int-string limit; only 'n' and 'n/d' are read now
+    requests = [
+        ("infer", "--sigma", "1e100000", "--p", "3", "--mG", "2"),
+        ("enumerate", "--p", "3", "--m", "1", "--r", "1", "--bound", "1e1000000"),
+        ("admissible", "--p", "3", "--m", "1", "--mI", "1", "--jumps", "1e1000000"),
+        ("tails", "--mG", "2", "--prim", "1", "--bound", "1e1000000"),
+        ("infer", "--sigma", "3/2e5", "--p", "3", "--mG", "2"),
+        ("infer", "--sigma", "1.5", "--p", "3", "--mG", "2"),
+        ("infer", "--sigma", "9" * 5000, "--p", "3", "--mG", "2"),
+    ]
+    for argv in requests:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot parse rational value"), argv
+
+
 def test_enumeration_bound_holds_and_admits_every_small_request():
     # a true upper bound on the count, down to the empty enumerations
     for p, m, r, bound in product((3, 5, 7), (1, 2, 4), (1, 2, 3), (Fraction(1, 2), 3, 20, 60)):

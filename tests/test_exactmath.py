@@ -1,6 +1,7 @@
 """Valuations, polynomials over F_p and the reduction map."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -57,6 +58,20 @@ def test_rational_round_trip():
     assert format_rational(Fraction(14, 2)) == "7"
     with pytest.raises(ValueError):
         parse_rational("3/2/1")
+
+
+def test_parse_rational_reads_only_n_and_n_over_d():
+    assert parse_rational(" -3/6 ") == Fraction(-1, 2)
+    assert parse_rational("+4") == Fraction(4)
+    assert parse_rational("0/5") == 0
+    # exponents name huge numbers in a few characters; decimals, underscores,
+    # non-ASCII digits and numerals past the int-string limit are refused too
+    for text in ("1e100000", "1E5", "3/2e5", "1.5", ".5", "1_000", "3/-2", "3/0",
+                 "\u0663", "", "/2", "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot parse rational value"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 1
 
 
 def test_polynomial_basics():

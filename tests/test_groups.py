@@ -328,7 +328,7 @@ def _classes(g):
     """The recorded classes, each a list of listed subgroups in list order."""
     classes = {}
     for sub in g.subgroups():
-        classes.setdefault(g.class_number(sub), []).append(sub)
+        classes.setdefault(sub.class_number, []).append(sub)
     return classes
 
 
@@ -351,6 +351,9 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
     classes = _classes(g)
     # numbered 0, 1, ... by first member in list order, and a partition
     assert list(classes) == list(range(len(classes)))
+    # only the listed records carry a class
+    assert all(c.class_number is None for c in g.cyclic_subgroups())
+    assert g.whole_group().class_number is None
     assert sum(len(members) for members in classes.values()) == len(subs)
     # each class is the conjugacy class of its first member, closed here
     # under conjugation by a generating set with maps built by this test

@@ -183,7 +183,6 @@ def test_inertia_type_validation():
         InertiaType(p=7, r=1, m=14, m_I=1)  # p | m
     with pytest.raises(ValueError):
         InertiaType(p=7, r=1, m=5, m_I=5)  # m_I does not divide gcd(m, p - 1)
-    assert InertiaType.dihedral(7, 2).group_order == 98
 
 
 def test_atlas_psl2_5_structure():

@@ -152,7 +152,7 @@ def binomial_carry(a, b):
         pow_b.append(pow_b[-1] * b)
     total = FpPolynomial.zero(p)
     for i, c in enumerate(carry_row(p), start=1):
-        total = total + (pow_a[i] * pow_b[p - i]).scale(c)
+        total = total + pow_a[i] * pow_b[p - i] * FpPolynomial(p, (c,))
     return -total
 
 
