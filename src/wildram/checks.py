@@ -21,7 +21,7 @@ from .ramification import (
     JumpSequence,
     admissible_numerators,
     base_sigma,
-    compatible_numerators,
+    compatible_targets,
     enumerate_admissible,
     genus,
     is_admissible,
@@ -286,14 +286,10 @@ def random_compatible_target(
     base = predicted_jumps(spec)
     bound = base[-1] + slack
     n = admissible_numerators(inertia, base, "deformation_compatible")
-    options = [
-        seq
-        for seq in enumerate_admissible(inertia, bound)
-        if compatible_numerators(inertia, n, seq) is not None
-    ]
+    options = compatible_targets(inertia, n, bound)
     if not options:
         raise CheckFailure(f"no compatible targets above {base}")
-    return rng.choice(options)
+    return JumpSequence(tuple(Fraction(k, inertia.m) for k in rng.choice(options)))
 
 
 def check_deformation_random() -> dict:

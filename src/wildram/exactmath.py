@@ -46,8 +46,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# is_prime is trial division: about 0.09 s at 10^12 on a 2-vCPU host, and
+# 10^3 times longer at 10^18.  A larger p or ell is refused before it is
+# tested.
+PRIME_LIMIT = 10**12
+
+
+def check_prime_limit(n: int, name: str):
+    """Raise ValueError, naming the parameter, when n passes PRIME_LIMIT."""
+    if n > PRIME_LIMIT:
+        raise ValueError(f"{name} = {n} exceeds the prime limit {PRIME_LIMIT}")
+
+
 def require_odd_prime(n: int, name: str):
-    """Raise ValueError, naming the parameter, unless n is an odd prime."""
+    """Raise ValueError, naming the parameter, unless n is an odd prime
+    no larger than PRIME_LIMIT."""
+    check_prime_limit(n, name)
     if not is_prime(n) or n == 2:
         raise ValueError(f"{name} = {n} must be an odd prime")
 

@@ -9,6 +9,12 @@ divisor degree and the genus of a cover with those local invariants, and
 enumerates admissible sequences exactly.  Conditions (a)-(d), the Herbrand
 maps and the divisor degree are evaluated on the integers n_i = m u_i.
 
+Enumeration is one walk over those integers, testing (a)-(d) at each step.
+Floored by the numerators of an admissible base, the same walk visits only
+the targets a deformation of the base can reach (componentwise at least the
+base, with m u_1' = m u_1 (mod m)): n_1' steps by m from n_1, and each later
+n_i' starts at max(p n_{i-1}', n_i).
+
 A sequence is admissible for I = (p, r, m, m_I) when
 
   (a) every u_i lies in (1/m) N;
@@ -324,39 +330,71 @@ def tame_base_change(
     return new_inertia, new_seq
 
 
-def enumerate_admissible(inertia: InertiaType, bound) -> list[JumpSequence]:
-    """All admissible sequences with u_r <= bound, lexicographic in
-    (m u_1, ..., m u_r).  Complete by construction; testable against a
-    naive filter over the grid (1/m) Z."""
-    bound = Fraction(bound)
+def _admissible_walk(
+    inertia: InertiaType, bound, floor: list[int] | None = None
+) -> list[tuple[int, ...]]:
+    """Numerator tuples (n_1, ..., n_r), n_i = m u_i, of every admissible
+    sequence with u_r <= bound, in lexicographic order.
+
+    With a floor (the numerators of an admissible base), only the targets
+    that can replace it are walked: n_1 steps over floor_1, floor_1 + m,
+    ..., and each later n_i starts at max(p n_{i-1}, floor_i).  Conditions
+    (a)-(d) are tested at every step either way."""
     p, m, r, m_I = inertia.p, inertia.m, inertia.r, inertia.m_I
-    top = int(m * bound)  # n_r <= top
-    out: list[JumpSequence] = []
+    top = int(m * Fraction(bound))  # n_r <= top
+    step = m
+    if floor is None:
+        floor, step = [1] + [0] * (r - 1), 1
+    out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int]):
         i = len(prefix)  # choosing n_{i+1}
+        if i == r:
+            out.append(tuple(prefix))
+            return
         cap = top // p ** (r - i - 1)
         if i == 0:
-            for n1 in range(1, cap + 1):
+            for n1 in range(floor[0], cap + 1, step):
                 if n1 % p != 0 and gcd(m, n1) == m // m_I:
                     extend([n1])
             return
-        if i == r:
-            out.append(JumpSequence(tuple(Fraction(n, m) for n in prefix)))
-            return
         base = prefix[0] % m
         lo = p * prefix[-1]
-        if lo <= cap:
+        least = floor[i]
+        if least <= lo <= cap:
             if lo % m != base:
                 raise RuntimeError("p-multiple branch broke the residue condition")
             extend(prefix + [lo])
-        for n in range(lo + 1, cap + 1):
+        for n in range(max(lo + 1, least), cap + 1):
             if n % p != 0 and n % m == base:
                 extend(prefix + [n])
 
     if top >= 1:
         extend([])
     return out
+
+
+def compatible_targets(
+    inertia: InertiaType, n: list[int], bound
+) -> list[tuple[int, ...]]:
+    """Numerators m u_i' of every target with u_r' <= bound that can replace
+    the admissible sequence of numerators n: exactly the admissible
+    sequences for which compatible_numerators is not None, in the order of
+    enumerate_admissible."""
+    return _admissible_walk(inertia, bound, n)
+
+
+def enumerate_admissible(inertia: InertiaType, bound) -> list[JumpSequence]:
+    """All admissible sequences with u_r <= bound, lexicographic in
+    (m u_1, ..., m u_r): the unfloored integer walk, each tuple read back as
+    u_i = n_i / m (compatible_targets runs the same walk floored by a base).
+    Complete by construction; testable against a naive filter over the
+    grid (1/m) Z."""
+    m = inertia.m
+    return [
+        JumpSequence(tuple(Fraction(n, m) for n in numerators))
+        for numerators in _admissible_walk(inertia, bound)
+    ]
 
 
 def base_sigma(inertia: InertiaType, ell: int) -> JumpSequence | None:

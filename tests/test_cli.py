@@ -11,6 +11,7 @@ import pytest
 
 from wildram import cli
 from wildram.cli import main
+from wildram.exactmath import PRIME_LIMIT
 from wildram.psl2 import InertiaType
 from wildram.ramification import enumerate_admissible
 from wildram.towers import TOWER_SIZE_LIMIT, parse_tower_spec
@@ -152,6 +153,37 @@ def test_rationals_outside_n_and_n_over_d_are_refused(capsys):
         assert time.perf_counter() - start < 1
         assert code == 2 and out == "", argv
         assert err.startswith("error: cannot parse rational value"), argv
+
+
+def test_primes_past_the_limit_are_refused_before_trial_division(capsys):
+    # trial division of a prime near 10^18 ran past any timeout, before
+    # the budget of verify-group was even read
+    huge = "1000000000000000003"
+    requests = [
+        ("params", "--p", "3", "--ell", huge),
+        ("verify-group", "--p", "3", "--ell", huge),
+        ("params", "--p", huge, "--ell", "13"),
+        ("triple", "--p", "3", "--ell", huge),
+        ("infer", "--sigma", "1", "--p", huge, "--mG", "2"),
+        ("params", "--p", "3", "--ell", str(PRIME_LIMIT + 39)),  # the least prime past it
+    ]
+    for argv in requests:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "exceeds the prime limit" in err, argv
+
+
+def test_largest_prime_under_the_limit_is_still_served(capsys):
+    ell = 999999999989  # the largest prime below PRIME_LIMIT
+    start = time.perf_counter()
+    code, params = run_json(capsys, "params", "--p", "3", "--ell", str(ell))
+    assert code == 0
+    code, report = run_json(capsys, "verify-group", "--p", "3", "--ell", str(ell))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and params["order"] == ell * (ell * ell - 1) // 2
+    assert report["status"] == "refused" and "exceeds budget 2000" in report["reason"]
 
 
 def test_enumeration_bound_holds_and_admits_every_small_request():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wildram import checks
 from wildram.checks import naive_admissible_filter, random_admissible, random_inertia
 from wildram.exactmath import format_rational
 from wildram.psl2 import InertiaType, group_params, inertia_candidates
@@ -16,7 +17,10 @@ from wildram.ramification import (
     AdmissibilityVerdict,
     ConditionResult,
     JumpSequence,
+    admissible_numerators,
     base_sigma,
+    compatible_numerators,
+    compatible_targets,
     deformation_compatible,
     divisor_degree,
     enumerate_admissible,
@@ -26,6 +30,7 @@ from wildram.ramification import (
     tame_base_change,
     upper_from_lower,
 )
+from wildram.towers import inertia_type_of, predicted_jumps
 
 D7 = InertiaType.dihedral(7, 1)
 Z7 = InertiaType.cyclic(7, 1)
@@ -499,3 +504,77 @@ def test_integer_layer_matches_references_property(case, data):
     shift = data.draw(st.integers(0, 3 * inertia.m))
     target = JumpSequence(tuple(u + Fraction(shift, inertia.m) for u in values))
     assert_matches_references(inertia, s, target=target)
+
+
+# ---------------------------------------------------------------------------
+# The floored walk: compatible_targets against the filter over every
+# admissible sequence that it replaced, kept here as the oracle.
+
+
+def filtered_targets(inertia: InertiaType, base: JumpSequence, bound) -> list[JumpSequence]:
+    n = admissible_numerators(inertia, base, "filtered_targets")
+    return [
+        s for s in enumerate_admissible(inertia, bound)
+        if compatible_numerators(inertia, n, s) is not None
+    ]
+
+
+def walked_targets(inertia: InertiaType, base: JumpSequence, bound) -> list[JumpSequence]:
+    n = admissible_numerators(inertia, base, "walked_targets")
+    return [
+        JumpSequence(tuple(Fraction(k, inertia.m) for k in numerators))
+        for numerators in compatible_targets(inertia, n, bound)
+    ]
+
+
+def test_compatible_targets_match_the_filter_on_small_shapes():
+    shapes = bases = targets = 0
+    for inertia in small_inertia_types(primes=(3, 5, 7, 11)):
+        shapes += 1
+        # bases from the least admissible sequences up to the middle and the last
+        pool = enumerate_admissible(inertia, inertia.p ** (inertia.r - 1) + 3)
+        for base in {pool[0], pool[len(pool) // 2], pool[-1]} if pool else ():
+            bases += 1
+            for slack in (0, Fraction(1, 2), 2, Fraction(13, 3), 8):
+                bound = base[-1] + slack
+                want = filtered_targets(inertia, base, bound)
+                assert walked_targets(inertia, base, bound) == want, (inertia, base, slack)
+                targets += len(want)
+    assert (shapes, bases) == (111, 333) and targets > 5000
+
+
+def test_compatible_targets_worked_examples():
+    # above (3/2) for D_7: odd m u_1' >= 3, skipping the multiple 7 of p
+    assert compatible_targets(D7, [3], Fraction(1, 2)) == []
+    assert compatible_targets(D7, [3], Fraction(3, 2)) == [(3,)]
+    assert compatible_targets(D7, [3], Fraction(11, 2)) == [(3,), (5,), (9,), (11,)]
+    # above (1, 8) for Z/49: u_2' = 7 u_1' is allowed only once it reaches 8
+    assert compatible_targets(Z49, [1, 8], 14) == [(1, k) for k in range(8, 14)] + [(2, 14)]
+
+
+def test_deformation_random_draws_the_targets_of_the_filter(monkeypatch):
+    # the check-all golden reports only {"pairs": 50}, so a changed target
+    # would not show there; the 50 (spec, target, scale) triples of the
+    # suite's seed are pinned against the filter's draws instead
+    def filtered_random_target(spec, rng, slack=8):
+        inertia = inertia_type_of(spec)
+        base = predicted_jumps(spec)
+        return rng.choice(filtered_targets(inertia, base, base[-1] + slack))
+
+    def draws():
+        seen = []
+        real = checks.verify_deformation
+
+        def record(spec, target, scale):
+            seen.append((spec.to_dict(), target, scale))
+            return real(spec, target, scale)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "verify_deformation", record)
+            assert checks.check_deformation_random() == {"pairs": 50}
+        return seen
+
+    walked = draws()
+    monkeypatch.setattr(checks, "random_compatible_target", filtered_random_target)
+    assert walked == draws()
+    assert len(walked) == 50
