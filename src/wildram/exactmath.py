@@ -52,16 +52,11 @@ def is_prime(n: int) -> bool:
 PRIME_LIMIT = 10**12
 
 
-def check_prime_limit(n: int, name: str):
-    """Raise ValueError, naming the parameter, when n passes PRIME_LIMIT."""
-    if n > PRIME_LIMIT:
-        raise ValueError(f"{name} = {n} exceeds the prime limit {PRIME_LIMIT}")
-
-
 def require_odd_prime(n: int, name: str):
     """Raise ValueError, naming the parameter, unless n is an odd prime
-    no larger than PRIME_LIMIT."""
-    check_prime_limit(n, name)
+    no larger than PRIME_LIMIT; a larger n is refused before it is tested."""
+    if n > PRIME_LIMIT:
+        raise ValueError(f"{name} = {n} exceeds the prime limit {PRIME_LIMIT}")
     if not is_prime(n) or n == 2:
         raise ValueError(f"{name} = {n} must be an odd prime")
 

@@ -63,7 +63,8 @@ def check_order(n: int):
 class Subgroup:
     ids: tuple[int, ...]
     generators: tuple[int, ...]
-    # the conjugacy class of a subgroup in subgroups(), None on any other record
+    # the conjugacy class of a subgroup in subgroups(); None on the records of
+    # cyclic_subgroups() and on any record built outside the search
     class_number: int | None = field(default=None, compare=False)
 
     @property
@@ -175,9 +176,6 @@ class FiniteGroup:
 
     def generates(self, gens) -> bool:
         return len(self.closure_ids(gens)) == self.n
-
-    def whole_group(self) -> Subgroup:
-        return Subgroup(ids=self._whole_ids, generators=())
 
     def cyclic_subgroups(self) -> list[Subgroup]:
         """One Subgroup per distinct cyclic subgroup, generator = least id,

@@ -21,11 +21,12 @@ subgroup claims are answered from that complete list, one question per
 conjugacy class of subgroups since each is invariant under conjugation
 ("above a D_p": an element of order p and an involution inverting it).  A
 closure that reaches the whole group is proven whole from its generators'
-action on the projective line P^1(F_l), by the orbit of infinity and
-Lagrange's theorem on the stabilizer of infinity, instead of being
-searched; every other closure is still searched.  A printed witness names
-the first pair of cyclic subgroups that generates it, found by closing the
-pairs inside that subgroup only.  No budget admits a group above ORDER_LIMIT elements, the
+action on the projective line P^1(F_l), instead of being searched: one
+breadth-first pass over P^1 gives the orbit of infinity and the Schreier
+generators of its stabilizer, and Lagrange's theorem does the rest.  Every
+other closure is still searched.  A printed witness names the first pair
+of cyclic subgroups that generates it, found by closing the pairs inside
+that subgroup only.  No budget admits a group above ORDER_LIMIT elements, the
 order of PSL2(F_43).
 """
 
@@ -336,7 +337,6 @@ class Psl2Atlas(FiniteGroup):
         self.ell = ell
         self._inverse_mod = [0] + [pow(x, ell - 2, ell) for x in range(1, ell)]
         self._build_elements()
-        self._perms = [None] * self.n
         super().__init__(self.n, self._slot[ell * ell])  # the code of (1, 0, 0, 1)
 
     def mul(self, x: int, y: int) -> int:
@@ -383,22 +383,52 @@ class Psl2Atlas(FiniteGroup):
                 out.append(slot[a_zero + right * ell + (w + z) % ell])
         return out
 
-    def _perm(self, g: int) -> list[int]:
-        """The permutation z -> (az + b)/(cz + d) of P^1(F_l) by element g, on
-        points 0..l-1 for F_l and l for infinity; computed once per id."""
-        perm = self._perms[g]
-        if perm is None:
-            ell, inverse = self.ell, self._inverse_mod
-            a, b, c, d = self.elements[g]
-            perm = [ell] * (ell + 1)
-            for z in range(ell):
-                den = (c * z + d) % ell
-                if den:
-                    perm[z] = (a * z + b) * inverse[den] % ell
-            if c:
-                perm[ell] = a * inverse[c] % ell
-            self._perms[g] = perm
-        return perm
+    def _schreier_generators(self, gens):
+        """None when the orbit of infinity (point l) of P^1(F_l) under gens
+        has at most l points, else its Schreier generators: one breadth-first
+        pass maps each point z by (az + b)/(cz + d), records the tree parent
+        (o, g) of each point first reached and every other edge o -> y = g(o),
+        and the iterator yields trans(y)^-1 g trans(o) for each such edge, in
+        (point, generator) order, unless it is the identity.  trans(y) maps
+        infinity to y along the tree and is multiplied out when first asked
+        for.  They fix infinity and generate its stabilizer (Schreier's lemma).
+        """
+        ell, elements, inverse = self.ell, self.elements, self._inverse_mod
+        parent = [None] * (ell + 1)  # parent[y] = (o, g): y = g(o); () at infinity
+        parent[ell] = ()
+        points, edges = [ell], []
+        for o in points:  # grows while it is read
+            for g in gens:
+                a, b, c, d = elements[g]
+                num, den = (a, c) if o == ell else (a * o + b, (c * o + d) % ell)
+                y = num * inverse[den] % ell if den else ell
+                if parent[y] is None:
+                    parent[y] = (o, g)
+                    points.append(y)
+                else:
+                    edges.append((o, g, y))
+        if len(points) <= ell:
+            return None
+        mul, inverses, identity = self.mul, self.inverses, self.identity_id
+        known = {ell: identity}
+
+        def trans(y):  # a loop: a closure that calls itself is a reference cycle
+            path = []
+            while y not in known:
+                path.append(y)
+                y = parent[y][0]
+            t = known[y]
+            for y in reversed(path):
+                t = known[y] = mul(parent[y][1], t)
+            return t
+
+        def schreier():
+            for o, g, y in edges:
+                s = mul(inverses[trans(y)], mul(g, trans(o)))
+                if s != identity:
+                    yield s
+
+        return schreier()
 
     def _proves_whole(self, gens) -> bool:
         """Whether <gens> = K is proven to be the whole group from its action
@@ -407,14 +437,14 @@ class Psl2Atlas(FiniteGroup):
 
         The whole group is transitive on the l + 1 points, so a shorter orbit
         means False.  Otherwise |K| = (l + 1) |K_inf| (orbit-stabilizer).
-        The Schreier generators of the orbit (Holt, Eick and O'Brien,
-        *Handbook of Computational Group Theory*, 4.1-4.4) and the commutator
-        of each two consecutive ones lie in K_inf, so the lcm L of their
-        orders divides |K_inf|, and once 2 (l + 1) L > n Lagrange leaves only
-        the whole group.  Each of them must fix infinity, that is have lower
-        left entry 0, or RuntimeError.  If K is the whole group, K_inf is the
-        Borel subgroup of order l (l - 1)/2.  The Schreier generators
-        generate it, so they map onto its cyclic quotient of order
+        The Schreier generators of the orbit (``_schreier_generators``; Holt,
+        Eick and O'Brien, *Handbook of Computational Group Theory*, 4.1-4.4)
+        and the commutator of each two consecutive ones lie in K_inf, so the
+        lcm L of their orders divides |K_inf|, and once 2 (l + 1) L > n
+        Lagrange leaves only the whole group.  Each of them must fix infinity,
+        that is have lower left entry 0, or RuntimeError.  If K is the whole
+        group, K_inf is the Borel subgroup of order l (l - 1)/2.  The Schreier
+        generators generate it, so they map onto its cyclic quotient of order
         (l - 1)/2.  Unless one of them has order l, two consecutive ones do
         not commute, since commuting elements of order prime to l lie in one
         torus, and their commutator has order l.  So L reaches l (l - 1)/2
@@ -423,11 +453,11 @@ class Psl2Atlas(FiniteGroup):
         """
         ell, n, elements, orders = self.ell, self.n, self.elements, self.orders
         mul, inverses = self.mul, self.inverses
-        orbit = _Orbit(self, gens)
-        if len(orbit.points) <= ell:
+        schreier = self._schreier_generators(gens)
+        if schreier is None:
             return False
         order_lcm, previous = 1, None
-        for s in orbit.schreier_generators():
+        for s in schreier:
             fixed = [s]
             if previous is not None and order_lcm % ell:  # a commutator has order 1 or l
                 fixed.append(mul(mul(previous, s), inverses[mul(s, previous)]))
@@ -475,55 +505,6 @@ class Psl2Atlas(FiniteGroup):
                 slot[a_zero + b * ell + d] = i
                 slot[a_zero + (ell - b) * ell + -d % ell] = i
         self._slot = slot
-
-
-class _Orbit:
-    """The orbit of infinity in P^1 under elements of a Psl2Atlas, and a
-    transversal, found as it is asked for: the id trans(y) maps infinity
-    to y."""
-
-    def __init__(self, atlas: Psl2Atlas, gens):
-        ell = atlas.ell
-        self.atlas = atlas
-        self.gens = list(gens)
-        self.perms = [atlas._perm(g) for g in self.gens]
-        self.points = [ell]
-        # parent[y] = (o, j): y is the image of o under gens[j]; () at infinity
-        parent = self.parent = [None] * (ell + 1)
-        parent[ell] = ()
-        for o in self.points:  # grows while it is read
-            for j, perm in enumerate(self.perms):
-                y = perm[o]
-                if parent[y] is None:
-                    parent[y] = (o, j)
-                    self.points.append(y)
-        self._trans = {ell: atlas.identity_id}
-
-    def trans(self, y: int) -> int:
-        known = self._trans
-        path = []
-        while y not in known:
-            o, j = self.parent[y]
-            path.append((y, j))
-            y = o
-        t, mul, gens = known[y], self.atlas.mul, self.gens
-        for y, j in reversed(path):
-            t = known[y] = mul(gens[j], t)
-        return t
-
-    def schreier_generators(self):
-        """Yield trans(y)^-1 g trans(o) for each orbit point o and generator
-        g, y = g(o), other than the identity, point by point: elements
-        fixing infinity, which generate its stabilizer (Schreier's lemma).
-        On a tree edge it is the identity and is not computed."""
-        mul, inverses, identity = self.atlas.mul, self.atlas.inverses, self.atlas.identity_id
-        for o in self.points:
-            for j, (g, perm) in enumerate(zip(self.gens, self.perms)):
-                y = perm[o]
-                if self.parent[y] != (o, j):
-                    s = mul(inverses[self.trans(y)], mul(g, self.trans(o)))
-                    if s != identity:
-                        yield s
 
 
 @lru_cache(maxsize=1)

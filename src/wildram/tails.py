@@ -27,14 +27,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .exactmath import (
-    check_prime_limit,
-    format_rational,
-    is_prime,
-    prime_factors,
-    require_odd_prime,
-    vp,
-)
+from .exactmath import format_rational, prime_factors, require_odd_prime, vp
 from .groups import FiniteGroup, check_order
 
 SEARCH_LIMIT = 2_000_000
@@ -156,9 +149,7 @@ def infer_inertia(sigma, p: int, m_G: int) -> InertiaInference:
     sigma = Fraction(sigma)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    check_prime_limit(p, "p")
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    require_odd_prime(p, "p")
     if m_G < 1:
         raise ValueError("m_G must be positive")
     allowed = []

@@ -219,6 +219,17 @@ def test_tails_and_infer(capsys):
     assert payload["abelian_possible"] is False
 
 
+def test_infer_refuses_p_2_like_every_other_subcommand(capsys):
+    requests = [
+        ("infer", "--sigma", "1", "--p", "2", "--mG", "2"),
+        ("params", "--p", "2", "--ell", "13"),
+        ("verify-group", "--p", "2", "--ell", "7"),
+    ]
+    for argv in requests:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: p = 2 must be an odd prime\n"), argv
+
+
 def test_base_sigma_unknown(capsys):
     code, payload = run_json(
         capsys, "base-sigma", "--p", "7", "--ell", "97", "--m", "2", "--r", "2"

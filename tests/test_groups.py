@@ -1,5 +1,6 @@
 """The shared finite-group core on SmallGroup and PSL2(F_ell)."""
 
+import gc
 from dataclasses import replace
 from itertools import product
 from math import gcd
@@ -7,7 +8,7 @@ from random import Random
 
 import pytest
 
-from wildram import cli, psl2
+from wildram import cli
 from wildram.exactmath import is_prime, prime_factors, vp
 from wildram.groups import ORDER_LIMIT, Subgroup
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
@@ -207,8 +208,9 @@ def _all_pairs_subgroups(g):
             members |= frontier
         return tuple(sorted(members)) if 2 * len(members) <= n else whole_ids
 
-    whole = g.whole_group()
-    found = {whole.ids: whole}
+    # built here, not taken from subgroups(), which this oracle checks
+    whole = Subgroup(whole_ids, ())
+    found = {whole_ids: whole}
     cyclic = g.cyclic_subgroups()
     for sub in cyclic:
         found.setdefault(sub.ids, sub)
@@ -353,7 +355,6 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
     assert list(classes) == list(range(len(classes)))
     # only the listed records carry a class
     assert all(c.class_number is None for c in g.cyclic_subgroups())
-    assert g.whole_group().class_number is None
     assert sum(len(members) for members in classes.values()) == len(subs)
     # each class is the conjugacy class of its first member, closed here
     # under conjugation by a generating set with maps built by this test
@@ -419,8 +420,9 @@ def test_two_involutions_generate_a_dihedral_group(kind, args):
 def test_semidirect_p_form_on_a_group_of_order_p():
     # Z/7 x| Z/1: the p-elements generate the whole group
     g = SmallGroup.semidirect(7, 1, 1)
-    assert g.semidirect_p_form(g.whole_group(), 7)
-    assert g.is_quasi_p(g.whole_group(), 7)
+    whole = Subgroup(tuple(range(g.n)), ())
+    assert g.semidirect_p_form(whole, 7)
+    assert g.is_quasi_p(whole, 7)
 
 
 def _brute_obstruction(p, r, m, vp_gen):
@@ -518,17 +520,92 @@ def test_proves_whole_never_calls_a_large_proper_subgroup_whole(ell):
         assert not g._proves_whole(sub.ids[:4] + sub.generators)
 
 
+def _schreier_oracle(g, gens):
+    """The orbit of infinity (None) on P^1(F_ell) under gens, breadth first,
+    and its Schreier generators other than the identity, in (point,
+    generator) order: trans(y)^-1 x trans(o) for each edge o -> y = x(o)
+    that does not reach y first, with the transversal built as each point
+    is reached and products taken on the matrices."""
+    ell, elements, identity = g.ell, g.elements, g.identity_id
+    times, _ = _matrix_oracle(g)
+
+    def image(x, z):
+        a, b, c, d = elements[x]
+        num, den = (a, c) if z is None else (a * z + b, (c * z + d) % ell)
+        return num * pow(den, -1, ell) % ell if den else None
+
+    trans, points, edges = {None: identity}, [None], []
+    for o in points:
+        for x in gens:
+            y = image(x, o)
+            if y in trans:
+                edges.append((o, x, y))
+            else:
+                trans[y] = times(x, trans[o])
+                points.append(y)
+    schreier = [times(g.inverses[trans[y]], times(x, trans[o])) for o, x, y in edges]
+    return points, [s for s in schreier if s != identity]
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11])
+def test_schreier_generators_generate_the_stabilizer_of_infinity(ell):
+    # Schreier's lemma on the matrices of K = <gens>: the orbit of infinity,
+    # read here off every member (a/c, or infinity where c = 0), is short
+    # exactly when the pass returns None; otherwise the yielded elements
+    # are the oracle's, in its order, and generate K_inf, the members with
+    # lower-left entry 0
+    g = psl2_atlas(ell)
+    elements = g.elements
+    proper = [s for s in g.subgroups() if 1 < s.size < g.n]
+    rng = Random(ell)
+    outcomes = set()
+    for k in range(120):
+        # half from the whole group, half from inside a listed proper subgroup
+        ids = range(g.n) if k % 2 else rng.choice(proper).ids
+        gens = [rng.choice(ids) for _ in range(2 + k // 2 % 2)]
+        members = g.closure_ids(gens)
+        orbit = set()
+        for x in members:
+            a, _, c, _ = elements[x]
+            orbit.add(a * pow(c, -1, ell) % ell if c else ell)
+        points, expected = _schreier_oracle(g, gens)
+        assert len(points) == len(orbit), gens
+        schreier = g._schreier_generators(gens)
+        outcomes.add(schreier is None)
+        if len(orbit) <= ell:
+            assert schreier is None, gens
+        else:
+            yielded = list(schreier)
+            stabilizer = tuple(x for x in members if elements[x][2] == 0)
+            assert yielded == expected and g.closure_ids(yielded) == stabilizer, gens
+    assert outcomes == {True, False}
+
+
+def test_the_orbit_pass_leaves_no_reference_cycles():
+    # what each _proves_whole call builds (parent map, edges, transversal)
+    # is freed by reference counting, not left for the cyclic collector
+    g = Psl2Atlas(7)
+    gc.collect()
+    gc.disable()
+    try:
+        g.subgroups()
+        assert g.three_generator_stability()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_a_schreier_generator_that_moves_infinity_is_an_internal_error(monkeypatch, capsys):
     # every Schreier generator must fix infinity; one that does not, here
     # z -> -1/z, raises instead of entering the order bound, and the CLI
     # reports it as an internal fault: one stderr line, no stdout, exit 2
-    def moving_infinity(orbit):
+    def moving_infinity(atlas, gens):
         yield 0
 
     g = Psl2Atlas(7)
     assert g.elements[0] == (0, 1, 6, 0)
     whole = next(gens for gens, verdict in _extension_generating_sets(7)[1] if verdict)
-    monkeypatch.setattr(psl2._Orbit, "schreier_generators", moving_infinity)
+    monkeypatch.setattr(Psl2Atlas, "_schreier_generators", moving_infinity)
     with pytest.raises(RuntimeError, match=r"Schreier generator \(0, 1, 6, 0\) .* does not fix infinity"):
         g._proves_whole(whole)
     psl2_atlas.cache_clear()
@@ -546,13 +623,13 @@ def test_schreier_generators_forced_to_the_identity_prove_nothing(monkeypatch):
     # with every Schreier generator the identity the order bound never
     # passes n/2, so _proves_whole says False and every closure of the
     # search is searched: the list still matches the all-pairs oracle
-    def identities(orbit):
-        for _ in orbit.points:
-            yield orbit.atlas.identity_id
+    def identities(atlas, gens):
+        for _ in range(atlas.ell + 1):
+            yield atlas.identity_id
 
     g = Psl2Atlas(7)  # a private atlas, as the search runs under the patch
     whole = next(gens for gens, verdict in _extension_generating_sets(7)[1] if verdict)
-    monkeypatch.setattr(psl2._Orbit, "schreier_generators", identities)
+    monkeypatch.setattr(Psl2Atlas, "_schreier_generators", identities)
     assert not g._proves_whole(whole)
     _assert_matches_all_pairs(g)
     assert g.three_generator_stability()

@@ -112,6 +112,14 @@ def test_infer_inertia_examples():
     assert infer_inertia(Fraction(3, 2), 7, 3).bound_extrapolated
 
 
+@pytest.mark.parametrize("p", [2, 9, 1])
+def test_infer_inertia_refuses_a_p_that_is_not_an_odd_prime(p):
+    # p = 2 was served: infer tested only primality, every other entry point
+    # asks for an odd prime
+    with pytest.raises(ValueError, match=f"p = {p} must be an odd prime"):
+        infer_inertia(Fraction(3, 2), p, 2)
+
+
 def test_infer_inertia_from_solver_output():
     for p in (7, 11, 13):
         config = solve_tail_configs(2, n_prim=1, n_new_min=1)[0]
