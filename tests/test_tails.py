@@ -112,6 +112,32 @@ def test_infer_inertia_examples():
     assert infer_inertia(Fraction(3, 2), 7, 3).bound_extrapolated
 
 
+def test_infer_inertia_matches_the_fraction_loop():
+    # the oracle: every r with p^(r-1)/m_G <= sigma, compared in Fractions
+    def fraction_loop(sigma, p, m_G):
+        allowed, r = [], 1
+        while Fraction(p ** (r - 1), m_G) <= sigma:
+            allowed.append(r)
+            r += 1
+        return tuple(allowed)
+
+    sigmas = {Fraction(a, b) for a in range(1, 40) for b in range(1, 8)}
+    for sigma in sorted(sigmas):
+        for p in (3, 5, 7):
+            for m_G in (1, 2, 3, 4, 6, 10):
+                assert infer_inertia(sigma, p, m_G).allowed_r == fraction_loop(sigma, p, m_G)
+
+
+def test_infer_inertia_on_huge_numbers():
+    # 4299-digit sigma and m_G, just inside Python's integer-string limit:
+    # 18021 r values, each compared as an integer, not as a Fraction
+    # rebuilt per r
+    nines = 10**4299 - 1
+    inf = infer_inertia(nines, 3, nines)
+    assert inf.allowed_r == tuple(range(1, 18022)) and inf.abelian_possible
+    assert 3**18020 <= nines * nines < 3**18021
+
+
 @pytest.mark.parametrize("p", [2, 9, 1])
 def test_infer_inertia_refuses_a_p_that_is_not_an_odd_prime(p):
     # p = 2 was served: infer tested only primality, every other entry point
