@@ -171,7 +171,11 @@ class FpPolynomial:
         object.__setattr__(self, "coeffs", tuple(c))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def zero(cls, p: int) -> "FpPolynomial":
+        """The zero polynomial over F_p, one shared immutable value per p:
+        as_reduce_with_witness returns it as the witness of every input
+        that is already reduced."""
         return cls(p, ())
 
     @classmethod
@@ -269,6 +273,8 @@ def as_reduce_with_witness(g: FpPolynomial) -> tuple[FpPolynomial, FpPolynomial]
     p = g.p
     if p == 2:
         raise ValueError("reduction is defined for odd characteristic")
+    if not any(g.coeffs[p::p]):  # no term at a positive multiple of p: reduced
+        return g, FpPolynomial.zero(p)
     work = list(g.coeffs)
     shift = [0] * (len(work) // p + 1)
     for d in range((len(work) - 1) // p * p, p - 1, -p):
@@ -278,8 +284,6 @@ def as_reduce_with_witness(g: FpPolynomial) -> tuple[FpPolynomial, FpPolynomial]
             k = d // p
             shift[k] = c
             work[k] = (work[k] + c) % p
-    if not any(shift):
-        return g, FpPolynomial.zero(p)
     return FpPolynomial(p, tuple(work)), FpPolynomial(p, tuple(shift))
 
 

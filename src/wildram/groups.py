@@ -82,6 +82,7 @@ class FiniteGroup:
         self._whole_ids = tuple(range(n))
         self._walk_cyclic_subgroups()
         self._subgroups = None
+        self._conjugation_maps = None
 
     def mul(self, a: int, b: int) -> int:
         """The id of the product ab."""
@@ -229,8 +230,13 @@ class FiniteGroup:
 
     def _conjugators(self) -> list[list[int]]:
         """The maps x -> g x g^-1, as lists over ids, for g in a generating set
-        of the whole group."""
-        return [self.conjugates(g, range(self.n)) for g in self._generating_set(self.n)]
+        of the whole group; built once, by the first of the search and its
+        certificate to ask, and kept on the group for the other."""
+        if self._conjugation_maps is None:
+            self._conjugation_maps = [
+                self.conjugates(g, range(self.n)) for g in self._generating_set(self.n)
+            ]
+        return self._conjugation_maps
 
     def _generating_set(self, order: int, member=None) -> list[int]:
         """Generators of a subgroup K of the given order, picked greedily in

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import ge
 
 from .exactmath import format_rational, parse_rational, vp
 from .psl2 import InertiaType, group_params, inertia_candidates
@@ -51,14 +52,12 @@ class JumpSequence:
     def __post_init__(self):
         if not self.jumps:
             raise ValueError("a jump sequence has at least one jump")
-        values = tuple(u if isinstance(u, Fraction) else Fraction(u) for u in self.jumps)
-        if any(u.numerator <= 0 for u in values):
+        values = tuple([u if isinstance(u, Fraction) else Fraction(u) for u in self.jumps])
+        if min([u.numerator for u in values]) <= 0:
             raise ValueError(f"jumps must be positive: {values}")
-        if any(
-            a.numerator * b.denominator >= b.numerator * a.denominator
-            for a, b in zip(values, values[1:])
-        ):
-            raise ValueError(f"jumps must be strictly increasing: {values}")
+        for a, b in zip(values, values[1:]):
+            if a.numerator * b.denominator >= b.numerator * a.denominator:
+                raise ValueError(f"jumps must be strictly increasing: {values}")
         object.__setattr__(self, "jumps", values)
 
     @classmethod
@@ -269,31 +268,40 @@ def genus(group_order: int, inertia: InertiaType, seq: JumpSequence) -> GenusRes
     return GenusResult(genus=g, divisor_degree=deg, realizable=g >= 0)
 
 
-def upper_from_lower(inertia: InertiaType, lower) -> JumpSequence:
-    """Apply the Herbrand map to lower jumps (positive integers).
+def upper_numerators(inertia: InertiaType, h) -> list[int]:
+    """The Herbrand map on lower jumps h (positive integers) as the
+    integers U_i = m p^(r-1) u_i.
 
-    Slope is 1/m up to h_1 and 1/(m p^(i-1)) on (h_{i-1}, h_i], so every
-    u_i is U_i / (m p^(r-1)) with U_1 = h_1 p^(r-1) and
-    U_i = U_{i-1} + (h_i - h_{i-1}) p^(r-i).
+    Slope is 1/m up to h_1 and 1/(m p^(i-1)) on (h_{i-1}, h_i], so
+    U_1 = h_1 p^(r-1) and U_i = U_{i-1} + (h_i - h_{i-1}) p^(r-i).
     """
-    values = [Fraction(h) for h in lower]
-    if len(values) != inertia.r:
-        raise ValueError(f"expected {inertia.r} lower jumps, got {len(values)}")
-    if any(h.denominator != 1 or h.numerator <= 0 for h in values):
-        raise ValueError(f"lower jumps must be positive integers: {values}")
-    h = [v.numerator for v in values]
-    if any(a >= b for a, b in zip(h, h[1:])):
-        raise ValueError(f"lower jumps must be strictly increasing: {values}")
-    if h[0] % inertia.p == 0:
-        raise ValueError(f"first lower jump {values[0]} must be prime to p")
-    p, m, r = inertia.p, inertia.m, inertia.r
-    scale = m * p ** (r - 1)
+    p, r = inertia.p, inertia.r
+    if len(h) != r:
+        raise ValueError(f"expected {r} lower jumps, got {len(h)}")
+    if min(h) <= 0:
+        raise ValueError(f"lower jumps must be positive integers: {[Fraction(x) for x in h]}")
+    if any(map(ge, h, h[1:])):
+        raise ValueError(f"lower jumps must be strictly increasing: {[Fraction(x) for x in h]}")
+    if h[0] % p == 0:
+        raise ValueError(f"first lower jump {h[0]} must be prime to p")
     acc = h[0] * p ** (r - 1)
-    out = [Fraction(acc, scale)]
+    out = [acc]
     for i in range(1, r):
         acc += (h[i] - h[i - 1]) * p ** (r - 1 - i)
-        out.append(Fraction(acc, scale))
-    return JumpSequence(tuple(out))
+        out.append(acc)
+    return out
+
+
+def upper_from_lower(inertia: InertiaType, lower) -> JumpSequence:
+    """Apply the Herbrand map to lower jumps (positive integers): the
+    sequence U_i / (m p^(r-1)) of upper_numerators."""
+    values = [Fraction(h) for h in lower]
+    # a wrong length is reported first, by upper_numerators
+    if len(values) == inertia.r and any(v.denominator != 1 for v in values):
+        raise ValueError(f"lower jumps must be positive integers: {values}")
+    scale = inertia.m * inertia.p ** (inertia.r - 1)
+    upper = upper_numerators(inertia, [v.numerator for v in values])
+    return JumpSequence(tuple([Fraction(u, scale) for u in upper]))
 
 
 def lower_from_upper(inertia: InertiaType, seq: JumpSequence) -> JumpSequence:

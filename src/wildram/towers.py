@@ -17,6 +17,15 @@ towers whose polynomials still contain p-divisible degrees, since the
 reduction removes them; the residue class is derived from the reduced
 data.
 
+Both routes run on integers.  predicted_numerators returns the
+numerators n_i = m u_i, after is_valid_spec, a boolean pass over the
+coefficients, has accepted the tower (an invalid one is refused with the
+first violation validate_spec reports).  oracle_numerators returns the
+numerators m p^(r-1) u_i of the Herbrand map, from
+ramification.upper_numerators.  predicted_jumps and oracle_jumps wrap
+them, putting each numerator over its denominator in a JumpSequence, and
+the tower-oracle sweep of check-all compares the integers directly.
+
 Deformation raises a tower's jumps to a compatible target sequence by
 adding one monomial scale * x^(m u_i') to x_i exactly when
 u_i' > p u_{i-1}' and u_i' > u_i.
@@ -35,7 +44,7 @@ from .ramification import (
     JumpSequence,
     admissible_numerators,
     compatible_numerators,
-    upper_from_lower,
+    upper_numerators,
 )
 
 
@@ -102,26 +111,44 @@ def validate_spec(t: TowerSpec) -> SpecVerdict:
     return SpecVerdict(valid=not v, violations=tuple(v))
 
 
+def is_valid_spec(t: TowerSpec) -> bool:
+    """validate_spec(t).valid, without collecting violations: x_1 is
+    nonzero, m_I divides p - 1, and no layer has a nonzero coefficient at a
+    degree divisible by p or outside the class mod m, which slices of the
+    coefficient tuple show."""
+    p, m, j = t.p, t.m, t.residue_class
+    if t.x_polys[0].is_zero or (p - 1) % (m // gcd(m, j)):
+        return False
+    for poly in t.x_polys:
+        c = poly.coeffs
+        if any(c[::p]) or any(any(c[k::m]) for k in range(min(m, len(c))) if k != j):
+            return False
+    return True
+
+
 def inertia_type_of(t: TowerSpec) -> InertiaType:
     m_I = t.m // gcd(t.m, t.residue_class)
     return InertiaType(p=t.p, r=t.r, m=t.m, m_I=m_I)
 
 
+def predicted_numerators(t: TowerSpec) -> list[int]:
+    """The jump recurrence on the integers n_i = m u_i: n_1 = deg(x_1) and
+    n_i = max(deg(x_i), p n_{i-1}), where a zero layer (degree -1 here)
+    contributes only the p n_{i-1} branch.  An invalid tower raises
+    ValueError naming its first violation (validate_spec)."""
+    if not is_valid_spec(t):
+        raise ValueError(f"invalid tower: {validate_spec(t).violations[0]}")
+    p = t.p
+    n = [len(t.x_polys[0].coeffs) - 1]
+    for poly in t.x_polys[1:]:
+        n.append(max(len(poly.coeffs) - 1, p * n[-1]))
+    return n
+
+
 def predicted_jumps(t: TowerSpec) -> JumpSequence:
-    """u_1 = deg(x_1)/m, u_i = max(deg(x_i)/m, p u_{i-1}); a zero layer
-    contributes only the p u_{i-1} branch."""
-    verdict = validate_spec(t)
-    if not verdict.valid:
-        raise ValueError(f"invalid tower: {verdict.violations[0]}")
-    n: list[int] = []  # n_i = m u_i
-    for i, poly in enumerate(t.x_polys):
-        if i == 0:
-            n.append(poly.degree)
-        elif poly.is_zero:
-            n.append(t.p * n[-1])
-        else:
-            n.append(max(poly.degree, t.p * n[-1]))
-    return JumpSequence(tuple(Fraction(n_i, t.m) for n_i in n))
+    """u_1 = deg(x_1)/m, u_i = max(deg(x_i)/m, p u_{i-1}): the
+    numerators of predicted_numerators over m."""
+    return JumpSequence(tuple([Fraction(n, t.m) for n in predicted_numerators(t)]))
 
 
 def oracle_supported(t: TowerSpec) -> bool:
@@ -198,17 +225,20 @@ def witt_wp(u: WittVector) -> WittVector:
 
 def _derived_class(m: int, polys) -> int:
     """Common residue class mod m of all term degrees, or raise."""
-    classes = {d % m for poly in polys for d, _ in poly.terms()}
+    classes = {
+        k for poly in polys for k in range(min(m, len(poly.coeffs))) if any(poly.coeffs[k::m])
+    }
     if len(classes) > 1:
         raise ValueError(f"term degrees fall in several classes mod {m}: {sorted(classes)}")
     return classes.pop() if classes else 0
 
 
-def oracle_jumps(t: TowerSpec) -> JumpSequence:
-    """Upper jumps from first principles, for r <= 2.
+def oracle_numerators(t: TowerSpec) -> list[int]:
+    """Upper jumps from first principles, for r <= 2, as the integers
+    U_i = m p^(r-1) u_i (ramification.upper_numerators).
 
-    Unlike predicted_jumps this accepts towers whose polynomials are not
-    yet reduced (their extension is unchanged by w^p - w shifts); it
+    Unlike predicted_numerators this accepts towers whose polynomials are
+    not yet reduced (their extension is unchanged by w^p - w shifts); it
     refuses constant terms, which over F_p cannot be shifted away.
     """
     if t.r > 2:
@@ -217,18 +247,18 @@ def oracle_jumps(t: TowerSpec) -> JumpSequence:
         )
     p, m = t.p, t.m
     for i, poly in enumerate(t.x_polys, start=1):
-        if not poly.is_zero and poly.coeffs[0] != 0:
+        if poly.coeffs and poly.coeffs[0]:
             raise ValueError(f"x_{i} has a constant term; shift it away first")
 
     reduced0, shift0 = as_reduce_with_witness(t.x_polys[0])
-    if reduced0.is_zero or reduced0.degree < 1:
+    h1 = len(reduced0.coeffs) - 1  # -1 for the zero polynomial
+    if h1 < 1:
         raise ValueError("the first layer reduces to degree <= 0 and is unramified")
-    h1 = reduced0.degree
 
     if t.r == 1:
         rc = _derived_class(m, [reduced0])
         inertia = InertiaType(p=p, r=1, m=m, m_I=m // gcd(m, rc))
-        return upper_from_lower(inertia, [h1])
+        return upper_numerators(inertia, [h1])
 
     vector: WittVector = (t.x_polys[0], t.x_polys[1])
     if not shift0.is_zero:
@@ -237,15 +267,21 @@ def oracle_jumps(t: TowerSpec) -> JumpSequence:
             raise RuntimeError("Witt shift did not reproduce the reduced first layer")
     reduced1, _ = as_reduce_with_witness(vector[1])
 
-    n1 = reduced1.degree if not reduced1.is_zero and reduced1.degree >= 1 else None
-    if n1 is not None and n1 % p == 0:
+    n1 = len(reduced1.coeffs) - 1  # below 1 when the layer adds no ramification
+    if n1 >= 1 and n1 % p == 0:
         raise RuntimeError("reduced second layer kept a p-divisible degree")
-    upper2 = max(p * h1, n1 or 0)
-    h2 = h1 + p * (upper2 - h1)
+    h2 = h1 + p * (max(p * h1, n1) - h1)
 
     rc = _derived_class(m, [reduced0, reduced1])
     inertia = InertiaType(p=p, r=2, m=m, m_I=m // gcd(m, rc))
-    return upper_from_lower(inertia, [h1, h2])
+    return upper_numerators(inertia, [h1, h2])
+
+
+def oracle_jumps(t: TowerSpec) -> JumpSequence:
+    """The oracle's upper jumps: the numerators of oracle_numerators over
+    m p^(r-1)."""
+    scale = t.m * t.p ** (t.r - 1)
+    return JumpSequence(tuple([Fraction(u, scale) for u in oracle_numerators(t)]))
 
 
 # ---------------------------------------------------------------------------

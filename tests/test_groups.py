@@ -187,6 +187,29 @@ def test_subgroup_search_on_small_groups(args, count):
     assert g.three_generator_stability()
 
 
+@pytest.mark.parametrize(
+    "group",
+    [lambda: Psl2Atlas(7), lambda: SmallGroup.semidirect(3, 2, 2)],
+    ids=["psl2-7", "dihedral-9"],
+)
+def test_certificate_reuses_the_search_conjugation_maps(group, monkeypatch):
+    # the search builds one conjugation map over all n ids per generator of
+    # the group; the certificate reads the same maps and builds none
+    g = group()
+    g.subgroups()
+    lengths = []
+    conjugates = g.conjugates
+
+    def counted(h, xs):
+        xs = list(xs)
+        lengths.append(len(xs))
+        return conjugates(h, xs)
+
+    monkeypatch.setattr(g, "conjugates", counted)
+    assert g.three_generator_stability()
+    assert lengths and g.n not in lengths
+
+
 def _all_pairs_subgroups(g):
     """The closure of every pair of cyclic subgroups, in cyclic_subgroups()
     order; a new closure keeps the first pair that reached it, and a pair

@@ -1,5 +1,7 @@
 """Tower validation, the jump recurrence, the reduction oracle, deformation."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -10,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from wildram import exactmath, towers
+from wildram import checks, exactmath, towers
 from wildram.checks import (
+    CheckFailure,
+    check_tower_oracle_sweep,
     random_compatible_target,
     random_tower_spec,
     sweep_tower_specs,
@@ -25,9 +29,12 @@ from wildram.towers import (
     deform,
     format_tower_spec,
     inertia_type_of,
+    is_valid_spec,
     oracle_jumps,
+    oracle_numerators,
     parse_tower_spec,
     predicted_jumps,
+    predicted_numerators,
     validate_spec,
     verify_deformation,
     witt_add,
@@ -306,6 +313,122 @@ def test_predicted_equals_oracle_on_sweep_subset():
     assert len(specs) >= 200
     for spec in specs:
         assert predicted_jumps(spec) == oracle_jumps(spec)
+
+
+def sweep_and_random_specs():
+    """The towers of the tower-oracle-sweep suite: the sweep family and the
+    200 random towers of its seed."""
+    rng = random.Random(20260810)
+    return sweep_tower_specs() + [random_tower_spec(rng) for _ in range(200)]
+
+
+def reference_predicted_jumps(t):
+    """The jump recurrence in rationals, layer by layer:
+    u_1 = deg(x_1)/m, u_i = max(deg(x_i)/m, p u_{i-1})."""
+    verdict = validate_spec(t)
+    if not verdict.valid:
+        raise ValueError(f"invalid tower: {verdict.violations[0]}")
+    u = [Fraction(t.x_polys[0].degree, t.m)]
+    for poly in t.x_polys[1:]:
+        u.append(t.p * u[-1] if poly.is_zero else max(Fraction(poly.degree, t.m), t.p * u[-1]))
+    return JumpSequence(tuple(u))
+
+
+def test_integer_cores_agree_with_the_jump_sequences():
+    for spec in sweep_and_random_specs():
+        scale = spec.m * spec.p ** (spec.r - 1)
+        predicted = predicted_jumps(spec)
+        assert predicted == reference_predicted_jumps(spec)
+        assert predicted.jumps == tuple(Fraction(n, spec.m) for n in predicted_numerators(spec))
+        oracle = oracle_jumps(spec)
+        assert oracle.jumps == tuple(Fraction(u, scale) for u in oracle_numerators(spec))
+
+
+def test_validity_core_agrees_with_validate_spec():
+    # unfiltered random layers, valid and invalid alike, constant terms,
+    # p-multiples, stray residue classes and zero layers included
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(2000):
+        p, m, r = rng.choice((3, 5, 7)), rng.choice((1, 2, 3, 4)), rng.choice((1, 2, 3))
+        if m % p == 0:
+            continue
+        polys = tuple(
+            FpPolynomial.from_terms(
+                p, {rng.randrange(0, 30): rng.randrange(0, p) for _ in range(rng.randint(0, 3))}
+            )
+            for _ in range(r)
+        )
+        spec = TowerSpec(p=p, m=m, r=r, x_polys=polys, residue_class=rng.randrange(m))
+        verdict = validate_spec(spec)
+        assert is_valid_spec(spec) is verdict.valid
+        seen.add(verdict.valid)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            TowerSpec(p=3, m=1, r=1, x_polys=(poly(3, (3, 1), (1, 2)),), residue_class=0),
+            "invalid tower: x_1: term degree 3 is not prime to p = 3",
+        ),
+        (
+            TowerSpec(
+                p=7, m=2, r=2,
+                x_polys=(poly(7, (3, 1)), poly(7, (8, 1), (9, 1))),
+                residue_class=1,
+            ),
+            "invalid tower: x_2: term degree 8 is not 1 mod m = 2",
+        ),
+        (
+            TowerSpec(
+                p=5, m=1, r=2, x_polys=(FpPolynomial.zero(5), poly(5, (3, 1))), residue_class=0
+            ),
+            "invalid tower: x_1 is the zero polynomial",
+        ),
+        (
+            TowerSpec(p=5, m=3, r=1, x_polys=(poly(5, (1, 1)),), residue_class=1),
+            "invalid tower: action order m_I = 3 does not divide p - 1 = 4",
+        ),
+    ],
+)
+def test_predicted_jumps_invalid_tower_messages(spec, message):
+    for route in (predicted_jumps, predicted_numerators):
+        with pytest.raises(ValueError) as info:
+            route(spec)
+        assert str(info.value) == message
+
+
+def test_sweep_specs_pinned():
+    # the family built with one shared object per distinct monomial is the
+    # same list, in the same order, as the one built a monomial per spec
+    specs = sweep_tower_specs()
+    assert len(specs) == 1222
+    digest = hashlib.sha256(json.dumps([s.to_dict() for s in specs]).encode()).hexdigest()
+    assert digest == "e0097b64757b9280b31ec5cb597903cb161891b07c94f3afcec3b2620168097d"
+
+
+def test_sweep_fails_when_the_oracle_core_is_shifted(monkeypatch):
+    # the suite compares the recurrence with the oracle: shifting the
+    # oracle's answer on one sweep tower must fail it, naming that tower
+    target = sweep_tower_specs()[700]
+    original = towers.oracle_numerators
+
+    def shifted(spec):
+        out = original(spec)
+        if spec == target:
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(towers, "oracle_numerators", shifted)
+    monkeypatch.setattr(checks, "oracle_numerators", shifted)
+    with pytest.raises(CheckFailure) as info:
+        check_tower_oracle_sweep()
+    message = str(info.value)
+    assert message.startswith(f"jump mismatch on {target.to_dict()}: recurrence")
+    assert f"oracle {oracle_jumps(target)}" in message
+    assert f"recurrence {predicted_jumps(target)}" in message
 
 
 def test_predicted_jumps_admissible_for_induced_inertia():
