@@ -18,10 +18,9 @@ reduction removes them; the residue class is derived from the reduced
 data.
 
 Both routes run on integers.  predicted_numerators returns the
-numerators n_i = m u_i, after is_valid_spec, a boolean pass over the
-coefficients, has accepted the tower (an invalid one is refused with the
-first violation validate_spec reports).  oracle_numerators returns the
-numerators m p^(r-1) u_i of the Herbrand map, from
+numerators n_i = m u_i once validate_spec has accepted the tower (an
+invalid one is refused with its first violation).  oracle_numerators
+returns the numerators m p^(r-1) u_i of the Herbrand map, from
 ramification.upper_numerators.  predicted_jumps and oracle_jumps wrap
 them, putting each numerator over its denominator in a JumpSequence, and
 the tower-oracle sweep of check-all compares the integers directly.
@@ -80,50 +79,53 @@ class TowerSpec:
 
 @dataclass(frozen=True)
 class SpecVerdict:
-    valid: bool
     violations: tuple[str, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {"valid": self.valid, "violations": list(self.violations)}
 
 
+# SpecVerdict is immutable, so every valid tower shares this one.
+_VALID = SpecVerdict(())
+
+
+def _off_class(m: int, j: int, coeffs) -> bool:
+    """Whether a nonzero coefficient sits at a degree outside j mod m, that
+    is, whether fewer zeros than entries lie outside the slice coeffs[j::m]."""
+    in_class = coeffs[j::m]
+    return len(coeffs) - len(in_class) != coeffs.count(0) - in_class.count(0)
+
+
 def validate_spec(t: TowerSpec) -> SpecVerdict:
     """Check the degree constraints monomial by monomial.
 
-    Each violating term is reported.  Also requires the induced action
-    order m_I = m / gcd(m, class) to divide p - 1, without which no group
-    of the intended shape acts on the tower.
+    Each violating term is reported.  A layer's terms are walked only when
+    slices of its coefficients show a nonzero entry at a multiple of p or
+    outside the residue class.  Also requires the induced action order
+    m_I = m / gcd(m, class) to divide p - 1, without which no group of the
+    intended shape acts on the tower.
     """
+    p, m, j = t.p, t.m, t.residue_class
     v = []
     if t.x_polys[0].is_zero:
         v.append("x_1 is the zero polynomial")
     for i, poly in enumerate(t.x_polys, start=1):
-        for d, _ in poly.terms():
-            if gcd(d, t.p) != 1:
-                v.append(f"x_{i}: term degree {d} is not prime to p = {t.p}")
-            if d % t.m != t.residue_class:
-                v.append(
-                    f"x_{i}: term degree {d} is not {t.residue_class} mod m = {t.m}"
-                )
-    m_I = t.m // gcd(t.m, t.residue_class)
-    if (t.p - 1) % m_I != 0:
-        v.append(f"action order m_I = {m_I} does not divide p - 1 = {t.p - 1}")
-    return SpecVerdict(valid=not v, violations=tuple(v))
-
-
-def is_valid_spec(t: TowerSpec) -> bool:
-    """validate_spec(t).valid, without collecting violations: x_1 is
-    nonzero, m_I divides p - 1, and no layer has a nonzero coefficient at a
-    degree divisible by p or outside the class mod m, which slices of the
-    coefficient tuple show."""
-    p, m, j = t.p, t.m, t.residue_class
-    if t.x_polys[0].is_zero or (p - 1) % (m // gcd(m, j)):
-        return False
-    for poly in t.x_polys:
         c = poly.coeffs
-        if any(c[::p]) or any(any(c[k::m]) for k in range(min(m, len(c))) if k != j):
-            return False
-    return True
+        if not (any(c[::p]) or _off_class(m, j, c)):
+            continue
+        for d, _ in poly.terms():
+            if gcd(d, p) != 1:
+                v.append(f"x_{i}: term degree {d} is not prime to p = {p}")
+            if d % m != j:
+                v.append(f"x_{i}: term degree {d} is not {j} mod m = {m}")
+    m_I = m // gcd(m, j)
+    if (p - 1) % m_I != 0:
+        v.append(f"action order m_I = {m_I} does not divide p - 1 = {p - 1}")
+    return SpecVerdict(tuple(v)) if v else _VALID
 
 
 def inertia_type_of(t: TowerSpec) -> InertiaType:
@@ -136,8 +138,9 @@ def predicted_numerators(t: TowerSpec) -> list[int]:
     n_i = max(deg(x_i), p n_{i-1}), where a zero layer (degree -1 here)
     contributes only the p n_{i-1} branch.  An invalid tower raises
     ValueError naming its first violation (validate_spec)."""
-    if not is_valid_spec(t):
-        raise ValueError(f"invalid tower: {validate_spec(t).violations[0]}")
+    verdict = validate_spec(t)
+    if not verdict.valid:
+        raise ValueError(f"invalid tower: {verdict.violations[0]}")
     p = t.p
     n = [len(t.x_polys[0].coeffs) - 1]
     for poly in t.x_polys[1:]:
@@ -225,12 +228,11 @@ def witt_wp(u: WittVector) -> WittVector:
 
 def _derived_class(m: int, polys) -> int:
     """Common residue class mod m of all term degrees, or raise."""
-    classes = {
-        k for poly in polys for k in range(min(m, len(poly.coeffs))) if any(poly.coeffs[k::m])
-    }
-    if len(classes) > 1:
+    j = next((poly.degree % m for poly in polys if not poly.is_zero), 0)
+    if any(_off_class(m, j, poly.coeffs) for poly in polys):
+        classes = {d % m for poly in polys for d, _ in poly.terms()}
         raise ValueError(f"term degrees fall in several classes mod {m}: {sorted(classes)}")
-    return classes.pop() if classes else 0
+    return j
 
 
 def oracle_numerators(t: TowerSpec) -> list[int]:

@@ -7,7 +7,9 @@ Run with -s to see one line per criterion:
 
 import pytest
 
-from wildram.checks import REGISTRY, run_check
+from wildram.checks import registry, run_check
+
+REGISTRY = registry()
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=[s.check_id for s in REGISTRY])

@@ -269,6 +269,23 @@ def test_tower_predict_invalid_spec_reports(tmp_path, capsys):
     assert "jumps" not in payload
 
 
+def test_tower_predict_reports_every_violation_in_order(capsys):
+    # two layers over p = 5, m = 3, class 1: an off-class x^2 in x_1, then
+    # x^5 (a p-multiple off the class) and x^10 (a p-multiple) in x_2, and
+    # m_I = 3, which does not divide 4; CI holds python3 -S to the golden too
+    spec_path = GOLDEN / "tower-predict-invalid.txt"
+    code, out, err = run(capsys, "tower-predict", "--spec", str(spec_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations"] == [
+        "x_1: term degree 2 is not 1 mod m = 3",
+        "x_2: term degree 5 is not prime to p = 5",
+        "x_2: term degree 5 is not 1 mod m = 3",
+        "x_2: term degree 10 is not prime to p = 5",
+        "action order m_I = 3 does not divide p - 1 = 4",
+    ]
+    assert out == (GOLDEN / "tower-predict-invalid.json").read_text(encoding="ascii")
+
+
 def test_corrupted_spec_file_is_usage_error(tmp_path, capsys):
     spec_path = tmp_path / "corrupt.txt"
     spec_path.write_text("7 2\nnot numbers\n", encoding="ascii")

@@ -556,10 +556,10 @@ def test_deformation_random_draws_the_targets_of_the_filter(monkeypatch):
     # the check-all golden reports only {"pairs": 50}, so a changed target
     # would not show there; the 50 (spec, target, scale) triples of the
     # suite's seed are pinned against the filter's draws instead
-    def filtered_random_target(spec, rng, slack=8):
+    def filtered_random_target(spec, rng):
         inertia = inertia_type_of(spec)
         base = predicted_jumps(spec)
-        return rng.choice(filtered_targets(inertia, base, base[-1] + slack))
+        return rng.choice(filtered_targets(inertia, base, base[-1] + 8))
 
     def draws():
         seen = []

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -29,7 +29,6 @@ from wildram.towers import (
     deform,
     format_tower_spec,
     inertia_type_of,
-    is_valid_spec,
     oracle_jumps,
     oracle_numerators,
     parse_tower_spec,
@@ -344,11 +343,28 @@ def test_integer_cores_agree_with_the_jump_sequences():
         assert oracle.jumps == tuple(Fraction(u, scale) for u in oracle_numerators(spec))
 
 
-def test_validity_core_agrees_with_validate_spec():
+def reference_violations(t):
+    """validate_spec's violations by walking every term of every layer."""
+    v = ["x_1 is the zero polynomial"] if t.x_polys[0].is_zero else []
+    for i, poly in enumerate(t.x_polys, start=1):
+        for d, _ in poly.terms():
+            if gcd(d, t.p) != 1:
+                v.append(f"x_{i}: term degree {d} is not prime to p = {t.p}")
+            if d % t.m != t.residue_class:
+                v.append(f"x_{i}: term degree {d} is not {t.residue_class} mod m = {t.m}")
+    m_I = t.m // gcd(t.m, t.residue_class)
+    if (t.p - 1) % m_I != 0:
+        v.append(f"action order m_I = {m_I} does not divide p - 1 = {t.p - 1}")
+    return tuple(v)
+
+
+def test_validate_spec_matches_the_per_term_walk():
     # unfiltered random layers, valid and invalid alike, constant terms,
-    # p-multiples, stray residue classes and zero layers included
+    # p-multiples, stray residue classes and zero layers included; every
+    # layer index shows both kinds of bad term, so a slice test that lets
+    # a violating layer through loses its messages here
     rng = random.Random(7)
-    seen = set()
+    seen, bad_terms = set(), set()
     for _ in range(2000):
         p, m, r = rng.choice((3, 5, 7)), rng.choice((1, 2, 3, 4)), rng.choice((1, 2, 3))
         if m % p == 0:
@@ -360,10 +376,13 @@ def test_validity_core_agrees_with_validate_spec():
             for _ in range(r)
         )
         spec = TowerSpec(p=p, m=m, r=r, x_polys=polys, residue_class=rng.randrange(m))
+        want = reference_violations(spec)
         verdict = validate_spec(spec)
-        assert is_valid_spec(spec) is verdict.valid
+        assert (verdict.valid, verdict.violations) == (not want, want), spec.to_dict()
         seen.add(verdict.valid)
+        bad_terms.update((v[:3], "prime" in v) for v in want if "term degree" in v)
     assert seen == {True, False}
+    assert bad_terms == {(f"x_{i}", kind) for i in (1, 2, 3) for kind in (True, False)}
 
 
 @pytest.mark.parametrize(
