@@ -17,9 +17,10 @@ needs the products) finds, for groups of order within a budget, every
 subgroup generated by at most two elements.  It closes one pair of cyclic
 subgroups per conjugacy class of such pairs and adds each closure's
 conjugates, which gives the same list as closing every pair, and the
-subgroup claims are answered from that complete list, one question per
-conjugacy class of subgroups since each is invariant under conjugation
-("above a D_p": an element of order p and an involution inverting it).  A
+subgroup claims are answered from that complete list by walking the class
+representatives, the first member of each conjugacy class of subgroups,
+since every question they ask is invariant under conjugation ("above a
+D_p": an element of order p and an involution inverting it).  A
 closure that reaches the whole group is proven whole from its generators'
 action on the projective line P^1(F_l), instead of being searched: one
 breadth-first pass over P^1 gives the orbit of infinity and the Schreier
@@ -32,6 +33,7 @@ order of PSL2(F_43).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
@@ -579,13 +581,14 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
     (iii) every quasi-p subgroup containing a dihedral subgroup of order 2p
           is the whole group.
 
-    Being abelian, of the form Z/p x| Z/m, quasi-p, or above a D_p does not
-    change under conjugation, so each is decided once per conjugacy class
-    of subgroups, which subgroups() records on each listed Subgroup as its
-    ``class_number``, on the class's first member.  Claims (ii) and (iii)
-    are each a search for the first counterexample in list order, so the
-    counts and the first witness of each claim are those of a walk over
-    every subgroup.
+    Size and being abelian, of the form Z/p x| Z/m, quasi-p, or above a D_p
+    do not change under conjugation, so the claims walk the class
+    representatives only: the first member in list order of each conjugacy
+    class that subgroups() records as ``class_number``, each predicate asked
+    at most once per class.  Claim (i) counts a dihedral class by its
+    length.  A class's first member precedes its other members, so the
+    first witness of each claim, and the first counterexample of (ii) and
+    (iii), is that of a walk over every subgroup.
 
     Refuses (claims unchecked, not falsified) when the group order exceeds
     the budget or, whatever the budget, ORDER_LIMIT.
@@ -607,70 +610,52 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
     atlas = psl2_atlas(ell)
     subs = atlas.subgroups()
     two_p = 2 * p
+    firsts: dict[int, Subgroup] = {}  # class number -> first member, in list order
+    length: Counter[int] = Counter()  # class number -> members
+    for s in subs:
+        firsts.setdefault(s.class_number, s)
+        length[s.class_number] += 1
+    reps = firsts.values()
 
-    def per_class(predicate):
-        """predicate, asked once per conjugacy class of subgroups: on the
-        class's first member in list order, the answer reused for the rest."""
-        answers = {}
+    def claim(claim_id: str, holds: bool, summary: str, witness: Subgroup | None):
+        printed = None if witness is None else _subgroup_witness(atlas, witness)
+        return ClaimResult(claim_id, "pass" if holds else "fail", summary, printed)
 
-        def ask(sub):
-            k = sub.class_number
-            if k not in answers:
-                answers[k] = predicate(sub)
-            return answers[k]
-
-        return ask
-
-    is_abelian = per_class(atlas.is_abelian_subgroup)
-    dihedrals = [s for s in subs if s.size == two_p and not is_abelian(s)]
-    semidirect = per_class(lambda s: atlas.semidirect_p_form(s, p))
-    quasi_p = per_class(lambda s: atlas.is_quasi_p(s, p))
-    contains_dihedral = per_class(lambda s: atlas.contains_dihedral(s, p))
-    if dihedrals:
-        claim1 = ClaimResult(
-            "dihedral-exists",
-            "pass",
-            f"found {len(dihedrals)} dihedral subgroups of order {two_p}",
-            _subgroup_witness(atlas, dihedrals[0]),
-        )
-    else:
-        claim1 = ClaimResult(
-            "dihedral-exists", "fail", f"no nonabelian subgroup of order {two_p}"
-        )
-
-    bad = next((s for s in subs if semidirect(s) and not is_abelian(s) and s.size != two_p), None)
-    if bad is None:
-        claim2 = ClaimResult(
-            "semidirect-form-is-dihedral",
-            "pass",
-            f"every nonabelian Z/{p} x| Z/m subgroup has order {two_p}",
-        )
-    else:
-        claim2 = ClaimResult(
-            "semidirect-form-is-dihedral",
-            "fail",
-            f"nonabelian Z/{p} x| Z/{bad.size // p} subgroup of order {bad.size}",
-            _subgroup_witness(atlas, bad),
-        )
-
+    dihedrals = [s for s in reps if s.size == two_p and not atlas.is_abelian_subgroup(s)]
+    count = sum(length[s.class_number] for s in dihedrals)
+    found = dihedrals[0] if dihedrals else None
+    claim1 = claim(
+        "dihedral-exists",
+        found is not None,
+        f"found {count} dihedral subgroups of order {two_p}"
+        if found is not None else f"no nonabelian subgroup of order {two_p}",
+        found,
+    )
     bad = next(
-        (s for s in subs
-         if s.size % two_p == 0 and s.size != atlas.n and contains_dihedral(s) and quasi_p(s)),
+        (s for s in reps
+         if s.size != two_p and atlas.semidirect_p_form(s, p) and not atlas.is_abelian_subgroup(s)),
         None,
     )
-    if bad is None:
-        claim3 = ClaimResult(
-            "quasi-p-above-dihedral-is-whole",
-            "pass",
-            f"every quasi-{p} subgroup containing a D_{p} is the whole group",
-        )
-    else:
-        claim3 = ClaimResult(
-            "quasi-p-above-dihedral-is-whole",
-            "fail",
-            f"proper quasi-{p} subgroup of order {bad.size} contains a D_{p}",
-            _subgroup_witness(atlas, bad),
-        )
+    claim2 = claim(
+        "semidirect-form-is-dihedral",
+        bad is None,
+        f"every nonabelian Z/{p} x| Z/m subgroup has order {two_p}"
+        if bad is None else f"nonabelian Z/{p} x| Z/{bad.size // p} subgroup of order {bad.size}",
+        bad,
+    )
+    bad = next(
+        (s for s in reps
+         if s.size % two_p == 0 and s.size != atlas.n
+         and atlas.contains_dihedral(s, p) and atlas.is_quasi_p(s, p)),
+        None,
+    )
+    claim3 = claim(
+        "quasi-p-above-dihedral-is-whole",
+        bad is None,
+        f"every quasi-{p} subgroup containing a D_{p} is the whole group"
+        if bad is None else f"proper quasi-{p} subgroup of order {bad.size} contains a D_{p}",
+        bad,
+    )
 
     return SubgroupReport(
         p=p,

@@ -224,11 +224,12 @@ def _smallest_unit_of_order(q: int, p: int, m_I: int) -> int:
     if m_I == 1:
         return 1
     euler = q // p * (p - 1)
+    factors = prime_factors(euler)
     for u in range(2, q):
         if u % p == 0:
             continue
         order = euler
-        for f in prime_factors(euler):
+        for f in factors:
             while order % f == 0 and pow(u, order // f, q) == 1:
                 order //= f
         if order == m_I:

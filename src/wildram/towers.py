@@ -402,6 +402,8 @@ def parse_tower_spec(text: str) -> TowerSpec:
         p, m, r, rc = (int(x) for x in head)
     except ValueError as exc:
         raise ValueError(f"malformed header {lines[0]!r}") from exc
+    if r < 1:  # before r slices the layer lines
+        raise ValueError(f"r = {r} must be >= 1")
     if len(lines) < 1 + r:
         raise ValueError(f"expected {r} coefficient lines, found {len(lines) - 1}")
     # every layer has p * max(1, degree) within the cap; checking p alone

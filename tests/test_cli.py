@@ -293,6 +293,17 @@ def test_corrupted_spec_file_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_tower_file_with_r_below_one_is_refused(tmp_path, capsys):
+    # r slices the layer lines, so a negative r once named a wrong line
+    for r in (0, -1, -2):
+        path = tmp_path / f"r{r}.txt"
+        path.write_text(f"3 1 {r} 0\n0 1\n0 1\n0 1\n", encoding="ascii")
+        for command in ("tower-predict", "tower-oracle"):
+            code, out, err = run(capsys, command, "--spec", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: r = {r} must be >= 1\n"
+
+
 def test_tower_size_cap(tmp_path, capsys):
     # p * (largest layer degree) may reach the cap and not pass it; a file
     # past the cap is refused before any polynomial is built or carried

@@ -238,7 +238,7 @@ def test_subgroup_claims_7_13():
     ]
 
 
-@pytest.mark.parametrize("p,ell,budget", [(3, 11, 14389), (7, 13, 18108)])
+@pytest.mark.parametrize("p,ell,budget", [(3, 11, 14371), (7, 13, 18066)])
 def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
     # a work budget with no timing noise: the group products of a cold run,
     # atlas build included, counted at every product kernel of Psl2Atlas:
@@ -261,6 +261,34 @@ def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
     finally:
         psl2_atlas.cache_clear()
     assert count[0] <= budget
+
+
+@pytest.mark.parametrize("p,ell", [(3, 11), (7, 13)])
+def test_claims_ask_each_class_once_of_its_first_member(p, ell, monkeypatch):
+    # every predicate of the claims is invariant under conjugation, so each
+    # is asked only of the first member of a class, and at most once
+    atlas = psl2_atlas(ell)
+    firsts = {}
+    for s in atlas.subgroups():
+        firsts.setdefault(s.class_number, s)
+    asked = Counter()
+
+    def counting(name):
+        predicate = getattr(Psl2Atlas, name)
+
+        def counted(atlas, sub, *args):
+            assert firsts[sub.class_number] is sub, (name, sub.class_number)
+            asked[name, sub.class_number] += 1
+            return predicate(atlas, sub, *args)
+
+        return counted
+
+    names = ("is_abelian_subgroup", "semidirect_p_form", "is_quasi_p", "contains_dihedral")
+    for name in names:
+        monkeypatch.setattr(Psl2Atlas, name, counting(name))
+    assert verify_subgroup_claims(p, ell).status == "checked"
+    assert asked and max(asked.values()) == 1
+    assert {name for name, _ in asked} == set(names)
 
 
 def test_subgroup_claims_3_5():
