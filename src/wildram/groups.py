@@ -5,13 +5,13 @@ it: ``products(xs, g)``, the ids of x g for each x in xs, and
 ``conjugates(g, xs)``, the ids of g x g^-1.  Each model implements
 ``products``; ``conjugates`` defaults to ``mul``, and a model whose product
 is cheaper inline overrides it.  The engine's hot loops (the closure
-frontier, the conjugation maps, the normalizer test and the orbit maps of
-the extension step) go through them.  Subclasses implement the product on a
-concrete model (2x2 matrices, residue pairs) and this class owns everything
-computed from it: element orders and inverses, closures, cyclic subgroups,
-the subgroups generated by at most two elements, and the structural
-predicates the subgroup and generation checks ask about.  No product is
-stored, so memory grows with n and with the subgroup list, never with n^2.
+frontier, the conjugation maps and the orbit maps of the extension step) go
+through them.  Subclasses implement the product on a concrete model (2x2
+matrices, residue pairs) and this class owns everything computed from it:
+element orders and inverses, closures, cyclic subgroups, the subgroups
+generated by at most two elements, and the structural predicates the
+subgroup and generation checks ask about.  No product is stored, so memory
+grows with n and with the subgroup list, never with n^2.
 
 The subgroup search works up to conjugacy, after the conjugacy-class
 lattice method (Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -32,11 +32,14 @@ The search and its completeness certificate share one extension step: for
 a subgroup H, close <H, y> for one <y> per N(H)-orbit.  The search takes
 the steps from the cyclic class representatives; the certificate takes one
 from the first member of every class of listed subgroups, on generators it
-picks from that member's ids, and finds nothing new.  Most of those
-closures are the whole group, the costliest to search; a subclass that can
-prove a closure whole without searching it overrides ``_proves_whole``
-(PSL2 does, by the orbit of infinity on the projective line and Lagrange's
-theorem on its stabilizer).
+picks from that member's ids, and finds nothing new.  Each walks the class
+of H under a generating set of the whole group before its step, and the
+walk gives N(H) too: it keeps a transversal, and its non-tree edges give
+Schreier generators of N(H), closed greedily up to |N(H)| = n / |class|.
+Most of those closures are the whole group, the costliest to search; a
+subclass that can prove a closure whole without searching it overrides
+``_proves_whole`` (PSL2 does, by the orbit of infinity on the projective
+line and Lagrange's theorem on its stabilizer).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def check_order(n: int):
         raise ValueError(f"group order {n} exceeds the order limit {ORDER_LIMIT}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     ids: tuple[int, ...]
     generators: tuple[int, ...] = ()  # the least generator, on cyclic_subgroups() only
@@ -70,6 +73,11 @@ class Subgroup:
     @property
     def size(self) -> int:
         return len(self.ids)
+
+
+def _conjugate(conj, ids) -> tuple[int, ...]:
+    """The sorted ids of g H g^-1, H = ids and conj the map x -> g x g^-1."""
+    return tuple(sorted(map(conj.__getitem__, ids)))
 
 
 class FiniteGroup:
@@ -127,8 +135,9 @@ class FiniteGroup:
         cyclic = sorted(found, key=lambda s: (s.size, s.ids))
         cyclic_of = [0] * n
         for pos, sub in enumerate(cyclic):
+            size = len(sub.ids)
             for x in sub.ids:
-                if orders[x] == sub.size:
+                if orders[x] == size:
                     cyclic_of[x] = pos
         self.orders = orders
         self.inverses = inverses
@@ -192,32 +201,43 @@ class FiniteGroup:
         conjugating the pair conjugates the closure, so only pairs (class
         representative <x>, N(<x>)-orbit representative <y>) with <y> in
         the class of <x> or a later one are closed, and each new closure is
-        added with its conjugacy class.  The records carry no generators;
-        _first_generating_pair finds the first pair of cyclic subgroups that
-        generates one, for a subgroup that is printed.
+        added with its conjugacy class.  The walk that finds the class of
+        <x> also gives N(<x>) (_class_walk).  The records carry no
+        generators; _first_generating_pair finds the first pair of cyclic
+        subgroups that generates one, for a subgroup that is printed.
         """
         if self._subgroups is None:
-            cyclic = self.cyclic_subgroups()
+            n, cyclic = self.n, self.cyclic_subgroups()
             conjugators = self._conjugators()
             cyclic_of = self._cyclic_of
-            maps = [[cyclic_of[conj[c.generators[0]]] for c in cyclic] for conj in conjugators]
-            orbits = self._cyclic_orbits(maps)
+            # each conjugation as a map over the positions in cyclic
+            maps = [
+                (g, [cyclic_of[conj[c.generators[0]]] for c in cyclic]) for g, conj in conjugators
+            ]
             # ids -> class label, labelled as the search meets each class
             found = {self._whole_ids: 0}
-            for label, cls in enumerate(orbits, 1):
-                for c in cls:
-                    found.setdefault(cyclic[c].ids, label)
-            label = len(orbits)
+            classes = []  # (positions, non-tree edges) of each class walk
+            seen = bytearray(len(cyclic))
+            for start in range(len(cyclic)):
+                if not seen[start]:
+                    positions, edges = self._class_walk(start, maps, list.__getitem__)
+                    classes.append((positions, edges))
+                    for c in positions:
+                        seen[c] = 1
+                        found.setdefault(cyclic[c].ids, len(classes))
+            label = len(classes)
             lower = bytearray(len(cyclic))  # the positions of the classes done
-            for cls in orbits:
-                first = cyclic[cls[0]]
-                for ids in self._extensions(first.ids, first.generators, len(cls), lower):
-                    # a whole closure is the whole group, found already
-                    if len(ids) < self.n and ids not in found:
-                        label += 1
-                        for image in self._conjugacy_class(ids, conjugators):
-                            found[image] = label
-                for c in cls:
+            for positions, edges in classes:
+                first = cyclic[positions[0]]
+                if 1 < first.size < n:  # as in the certificate, see _extensions
+                    normalizer = self._normalizer_generators(len(positions), edges)
+                    for ids in self._extensions(first.ids, first.generators, normalizer, lower):
+                        # a whole closure is the whole group, found already
+                        if len(ids) < n and ids not in found:
+                            label += 1
+                            for image in self._conjugacy_class(ids, conjugators)[0]:
+                                found[image] = label
+                for c in positions:
                     lower[c] = 1
             number: dict[int, int] = {}  # class label -> class number, in list order
             self._subgroups = [
@@ -228,32 +248,34 @@ class FiniteGroup:
 
     # -- conjugation, used by the subgroup search and its certificate
 
-    def _conjugators(self) -> list[list[int]]:
-        """The maps x -> g x g^-1, as lists over ids, for g in a generating set
-        of the whole group; built once, by the first of the search and its
-        certificate to ask, and kept on the group for the other."""
+    def _conjugators(self) -> list[tuple[int, list[int]]]:
+        """The pairs (g, the map x -> g x g^-1 as a list over ids) for g in a
+        generating set of the whole group; built once, by the first of the
+        search and its certificate to ask, and kept on the group for the
+        other."""
         if self._conjugation_maps is None:
             self._conjugation_maps = [
-                self.conjugates(g, range(self.n)) for g in self._generating_set(self.n)
+                (g, self.conjugates(g, range(self.n))) for g in self._generating_set(self.n)
             ]
         return self._conjugation_maps
 
-    def _generating_set(self, order: int, member=None) -> list[int]:
-        """Generators of a subgroup K of the given order, picked greedily in
-        id order: each id not yet in the closure of those kept is asked
-        ``member`` (is it in K? None for K the whole group) and kept if so.
-        Each kept id at least doubles the closure, so there are at most
-        log2 |K|; the walk stops once the closure has ``order`` elements, so
-        the ids after the last generator are never asked.  The kept ids are
-        those of a walk over all of K, since an id the walk skips as reached
-        is in K.  RuntimeError if the ids in K generate a subgroup of another
-        order: ``order`` was wrong."""
+    def _generating_set(self, order: int, candidates=None) -> list[int]:
+        """Generators of a subgroup K of the given order, picked greedily from
+        ``candidates``, elements of K (every id in order when None): each
+        one not yet in the closure of those kept is kept.  Each kept one at
+        least doubles the closure, so there are at most log2 |K|; the walk
+        stops once the closure has ``order`` elements, so the candidates
+        after the last generator are never read.  Three callers: the whole
+        group (_conjugators), a listed subgroup from its sorted ids, and
+        N(R) from the Schreier generators of R's class walk
+        (_normalizer_generators).  RuntimeError if the candidates generate
+        a subgroup of another order: ``order`` was wrong."""
         gens = []
         reached = {self.identity_id}
-        for g in range(self.n):
+        for g in range(self.n) if candidates is None else candidates:
             if len(reached) == order:
                 break
-            if g not in reached and (member is None or member(g)):
+            if g not in reached:
                 gens.append(g)
                 reached = set(self.closure_ids(gens))
         if len(reached) != order:
@@ -262,15 +284,57 @@ class FiniteGroup:
             )
         return gens
 
-    def _cyclic_orbits(self, maps, skip=None) -> list[list[int]]:
+    def _class_walk(self, start, conjugators, image):
+        """The class of R = ``start`` under conjugation by the whole group:
+        its members in the order reached, R first, and the non-tree edges of
+        the walk.  ``conjugators`` are the pairs (g, map) of _conjugators,
+        the map possibly over other objects than ids, and ``image(map, S)``
+        is the member g S g^-1.
+
+        The walk keeps a transversal, t_S with t_S R t_S^-1 = S: t_R = 1,
+        and t_{gSg^-1} = g t_S over the edge that first reaches a member.
+        Every other edge S -> S' by g is listed as (t_S', g, t_S); its
+        Schreier generator t_S'^-1 g t_S maps R to itself, and these
+        generate N(R) (Schreier's lemma; Holt, Eick and O'Brien, *Handbook
+        of Computational Group Theory*, 4.1)."""
+        mul = self.mul
+        trans = {start: self.identity_id}
+        members, edges = [start], []
+        for s in members:  # grows while it is read
+            t = trans[s]
+            for g, conj in conjugators:
+                other = image(conj, s)
+                u = trans.get(other)
+                if u is None:
+                    trans[other] = mul(g, t)
+                    members.append(other)
+                else:
+                    edges.append((u, g, t))
+        return members, edges
+
+    def _conjugacy_class(self, ids, conjugators):
+        """_class_walk over the conjugates g H g^-1, as sorted ids, of the
+        subgroup H = ids."""
+        return self._class_walk(ids, conjugators, _conjugate)
+
+    def _normalizer_generators(self, class_size: int, edges) -> list[int]:
+        """Generators of N(R), where R's class walk listed ``class_size``
+        members and the non-tree ``edges``: their Schreier generators, each
+        computed when it is read, closed greedily up to |N(R)| =
+        n / class_size (orbit-stabilizer; _generating_set).  RuntimeError
+        if they generate a smaller group, as when the walk lost a member."""
+        mul, inverses = self.mul, self.inverses
+        schreier = (mul(inverses[u], mul(g, t)) for u, g, t in edges)
+        return self._generating_set(self.n // class_size, schreier)
+
+    def _cyclic_orbits(self, maps, skip) -> list[list[int]]:
         """Orbits of the cyclic subgroups, as positions in cyclic_subgroups(),
         under the group generated by ``maps``, each a conjugation as a list
         over those positions; each orbit starts with its least position.
         Positions marked in ``skip``, a union of orbits, are left out."""
-        count = len(self.cyclic_subgroups())
-        seen = bytearray(count) if skip is None else bytearray(skip)
+        seen = bytearray(skip)
         orbits = []
-        for start in range(count):
+        for start in range(len(seen)):
             if seen[start]:
                 continue
             seen[start] = 1
@@ -284,32 +348,26 @@ class FiniteGroup:
             orbits.append(orbit)
         return orbits
 
-    def _extensions(self, ids, hs, class_size: int, skip=None):
+    def _extensions(self, ids, hs, normalizer, skip=None):
         """Yield the ids of <H, y>, H = <hs> the subgroup ``ids``, for one
         cyclic <y> per N(H)-orbit, skipping any <y> nested with H; since
         <H, gyg^-1> = g<H, y>g^-1 for g in N(H), these stand for every
-        <H, y'> up to conjugacy.  The cyclic subgroups
-        inside H form whole N(H)-orbits and are left out before the orbits
-        are taken, with the positions in cyclic_subgroups() marked in
-        ``skip``, which must be a union of N(H)-orbits too; only the
-        generators of the others are conjugated, and a closure that
-        _proves_whole proves whole is not searched.
+        <H, y'> up to conjugacy.  ``normalizer`` generates N(H); both
+        callers take it from the walk that lists the class of H
+        (_normalizer_generators).  The cyclic subgroups inside H form whole
+        N(H)-orbits and are left out before the orbits are taken, with the
+        positions in cyclic_subgroups() marked in ``skip``, which must be a
+        union of N(H)-orbits too; only the generators of the others are
+        conjugated, and a closure that _proves_whole proves whole is not
+        searched.
 
-        ``class_size`` is the number of conjugates of H, so |N(H)| is
-        n / class_size (orbit-stabilizer) and the generators of N(H) are
-        found by a scan that stops there (_generating_set).  The trivial
-        subgroup and the whole group are not extended: every <y> holds the
-        one and lies in the other."""
+        H is neither the trivial subgroup nor the whole group, which the
+        callers do not extend: every <y> holds the one and lies in the
+        other."""
         n, conjugates, size = self.n, self.conjugates, len(ids)
-        if size in (1, n):
-            return
         inside = bytearray(n)
         for x in ids:
             inside[x] = 1
-
-        def normalizes(g):  # g normalizes H iff g h g^-1 is in H for each generator h
-            return all(map(inside.__getitem__, conjugates(g, hs)))
-
         cyclic, cyclic_of = self.cyclic_subgroups(), self._cyclic_of
         skip = bytearray(len(cyclic)) if skip is None else bytearray(skip)
         for c, cy in enumerate(cyclic):
@@ -318,7 +376,7 @@ class FiniteGroup:
         outside = [c for c in range(len(cyclic)) if not skip[c]]
         outside_gens = [cyclic[c].generators[0] for c in outside]
         maps = []
-        for g in self._generating_set(n // class_size, normalizes):
+        for g in normalizer:
             image = [None] * len(cyclic)
             for c, y in zip(outside, conjugates(g, outside_gens)):
                 image[c] = cyclic_of[y]
@@ -328,20 +386,6 @@ class FiniteGroup:
             if cy.size % size or not all(h in cy.ids for h in hs):  # else H is inside <y>
                 gens = (*hs, *cy.generators)
                 yield self._whole_ids if self._proves_whole(gens) else self.closure_ids(gens)
-
-    @staticmethod
-    def _conjugacy_class(ids, conjugators) -> set[tuple[int, ...]]:
-        """The ids of every conjugate g H g^-1 of the subgroup H = ids."""
-        found = {ids}
-        todo = [ids]
-        while todo:
-            sub = todo.pop()
-            for conj in conjugators:
-                image = tuple(sorted(conj[x] for x in sub))
-                if image not in found:
-                    found.add(image)
-                    todo.append(image)
-        return found
 
     def _first_generating_pair(self, ids) -> tuple[int, int]:
         """Generators of the first pair (i < j) of cyclic subgroups inside
@@ -374,12 +418,13 @@ class FiniteGroup:
         return True
 
     def p_element_ids(self, sub: Subgroup, p: int) -> list[int]:
-        out = []
-        for i in sub.ids:
-            o = self.orders[i]
-            if o > 1 and o == p ** vp(o, p):
-                out.append(i)
-        return out
+        """The ids in the subgroup whose order is a power p^k > 1 of p."""
+        powers, q = set(), p
+        while q <= self.n:
+            powers.add(q)
+            q *= p
+        orders = self.orders
+        return [i for i in sub.ids if orders[i] in powers]
 
     def is_quasi_p(self, sub: Subgroup, p: int) -> bool:
         """Whether the subgroup is generated by its elements of p-power order."""
@@ -446,16 +491,21 @@ class FiniteGroup:
             if sub.ids in seen:
                 continue
             try:
-                gens = self._generating_set(sub.size, set(sub.ids).__contains__)
+                gens = self._generating_set(sub.size, sub.ids)
             except RuntimeError:  # the ids generate a group of another order
                 return False
-            conjugates = self._conjugacy_class(sub.ids, conjugators)
+            conjugates, edges = self._conjugacy_class(sub.ids, conjugators)
             if self.closure_ids(gens) != sub.ids or any(number.get(c) != k for c in conjugates):
                 return False
             k += 1
             seen.update(conjugates)
-            # a whole closure is listed; its n ids are not hashed to say so
-            extensions = self._extensions(sub.ids, gens, len(conjugates))
-            if any(len(ids) < n and ids not in number for ids in extensions):
-                return False
+            if 1 < sub.size < n:  # the trivial subgroup and the whole group are not extended
+                try:
+                    normalizer = self._normalizer_generators(len(conjugates), edges)
+                except RuntimeError:  # the walk lost a conjugate
+                    return False
+                # a whole closure is listed; its n ids are not hashed to say so
+                extensions = self._extensions(sub.ids, gens, normalizer)
+                if any(len(ids) < n and ids not in number for ids in extensions):
+                    return False
         return True

@@ -388,7 +388,8 @@ class Psl2Atlas(FiniteGroup):
     def _schreier_generators(self, gens):
         """None when the orbit of infinity (point l) of P^1(F_l) under gens
         has at most l points, else its Schreier generators: one breadth-first
-        pass maps each point z by (az + b)/(cz + d), records the tree parent
+        pass, reading each generator's matrix once, maps infinity to a/c and
+        each other point z to (az + b)/(cz + d), records the tree parent
         (o, g) of each point first reached and every other edge o -> y = g(o),
         and the iterator yields trans(y)^-1 g trans(o) for each such edge, in
         (point, generator) order, unless it is the identity.  trans(y) maps
@@ -396,20 +397,27 @@ class Psl2Atlas(FiniteGroup):
         for.  They fix infinity and generate its stabilizer (Schreier's lemma).
         """
         ell, elements, inverse = self.ell, self.elements, self._inverse_mod
+        mats = [(g, *elements[g]) for g in gens]
         parent = [None] * (ell + 1)  # parent[y] = (o, g): y = g(o); () at infinity
         parent[ell] = ()
-        points, edges = [ell], []
+        points, edges = [], []  # the points reached, infinity left out
+        for g, a, _, c, _ in mats:  # g maps infinity to a/c
+            y = a * inverse[c] % ell if c else ell
+            if parent[y] is None:
+                parent[y] = (ell, g)
+                points.append(y)
+            else:
+                edges.append((ell, g, y))
         for o in points:  # grows while it is read
-            for g in gens:
-                a, b, c, d = elements[g]
-                num, den = (a, c) if o == ell else (a * o + b, (c * o + d) % ell)
-                y = num * inverse[den] % ell if den else ell
+            for g, a, b, c, d in mats:
+                den = (c * o + d) % ell
+                y = (a * o + b) * inverse[den] % ell if den else ell
                 if parent[y] is None:
                     parent[y] = (o, g)
                     points.append(y)
                 else:
                     edges.append((o, g, y))
-        if len(points) <= ell:
+        if len(points) < ell:
             return None
         mul, inverses, identity = self.mul, self.inverses, self.identity_id
         known = {ell: identity}

@@ -1,9 +1,12 @@
 """The shared finite-group core on SmallGroup and PSL2(F_ell)."""
 
 import gc
+import hashlib
+import json
 from dataclasses import replace
 from itertools import product
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +16,8 @@ from wildram.exactmath import is_prime, prime_factors, vp
 from wildram.groups import ORDER_LIMIT, Subgroup
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
 from wildram.tails import SmallGroup, generation_obstruction
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # every SmallGroup shape that checks.py and the tests build
 SHAPES = [
@@ -310,6 +315,21 @@ def test_subgroups_match_all_pairs_on_psl2(ell, count):
         assert _all_pairs_stability(atlas)
 
 
+def _subgroup_digest(atlas):
+    """sha256 of the subgroup list as (ids, class_number) pairs; CI compares
+    it with the same golden at every prime ell from 5 to 43."""
+    pairs = [(s.ids, s.class_number) for s in atlas.subgroups()]
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_subgroup_list_matches_its_golden_digest(ell):
+    # the list, its order and every class number against the recorded
+    # digests
+    golden = json.loads((GOLDEN / "psl2-subgroup-digests.json").read_text(encoding="ascii"))
+    assert _subgroup_digest(psl2_atlas(ell)) == golden[str(ell)]
+
+
 def _conjugates(g, sub):
     mul, inv = g.mul, g.inverses
     return {tuple(sorted(mul(mul(a, x), inv[a]) for x in sub.ids)) for a in range(g.n)}
@@ -422,20 +442,23 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
     # under conjugation by a generating set with maps built by this test
     mul, inv = g.mul, g.inverses
     conjugators = [
-        [mul(mul(a, x), inv[a]) for x in range(g.n)] for a in g._generating_set(g.n)
+        (a, [mul(mul(a, x), inv[a]) for x in range(g.n)]) for a in g._generating_set(g.n)
     ]
     for members in classes.values():
-        expected = g._conjugacy_class(members[0].ids, conjugators)
+        expected, _ = g._conjugacy_class(members[0].ids, conjugators)
         assert sorted(s.ids for s in members) == sorted(expected), members[0]
 
 
 @pytest.mark.parametrize("kind,args", [("psl2", (7,))] + SHAPES)
 def test_conjugacy_class_matches_conjugation_by_every_element(kind, args):
     # the closure under a generating set's maps against g H g^-1 for every g
+    # (each member reached once, the subgroup itself first)
     g = _make(kind, args)
     conjugators = g._conjugators()
     for sub in g.subgroups():
-        assert g._conjugacy_class(sub.ids, conjugators) == _conjugates(g, sub), sub.ids
+        members, _ = g._conjugacy_class(sub.ids, conjugators)
+        assert members[0] == sub.ids and len(set(members)) == len(members)
+        assert set(members) == _conjugates(g, sub), sub.ids
 
 
 @pytest.mark.parametrize("kind,args", CLASS_GROUPS)
@@ -705,7 +728,7 @@ def test_schreier_generators_forced_to_the_identity_prove_nothing(monkeypatch):
     _assert_matches_all_pairs(g)
 
 
-# -- the normalizer scan of the extension step, stopped at n / |class|
+# -- the normalizer generators of the extension step, from the class walks
 
 
 def _bfs(g, gens):
@@ -736,69 +759,92 @@ def _brute_normalizer(g, sub):
     ]
 
 
-def _scanned_normalizer_generators(g, sub, class_size):
-    """The generators of N(H) the extension step keeps, caught as they leave
-    _generating_set, or None when the step does not scan."""
-    kept = []
-    scan = g._generating_set
+def _extension_normalizers(g):
+    """(H, the generators of N(H) handed to the extension step) for every
+    step the subgroup search and the certificate take on the fresh group g,
+    caught as they enter _extensions."""
+    steps = []
+    extensions = g._extensions
 
-    def record(order, member=None):
-        kept.append(scan(order, member))
-        return kept[-1]
+    def record(ids, hs, normalizer, skip=None):
+        steps.append((ids, list(normalizer)))
+        return extensions(ids, hs, normalizer, skip)
 
-    g._generating_set = record
+    g._extensions = record
     try:
-        extensions = list(g._extensions(sub.ids, _greedy_generators(g, sub.ids), class_size))
+        g.subgroups()
+        assert g.three_generator_stability()
     finally:
-        del g._generating_set
-    assert len(kept) <= 1
-    return (kept[0] if kept else None), extensions
+        del g._extensions
+    return steps
 
 
 @pytest.mark.parametrize("kind,args", CLASS_GROUPS)
 def test_stopped_normalizer_scan_matches_the_full_scan(kind, args):
-    g = _make(kind, args)
+    # the Schreier generators of both class walks, the search's over the
+    # positions of the cyclic subgroups and the certificate's over listed
+    # subgroups, closed greedily and stopped at n / |class|, generate N(H)
+    # as a scan of every element finds it, on every class the step extends
+    g = Psl2Atlas(*args) if kind == "psl2" else build(kind, args)
     assert g._generating_set(g.n) == _greedy_generators(g, range(g.n))
-    for members in _classes(g).values():
-        sub, class_size = members[0], len(members)
-        gens, extensions = _scanned_normalizer_generators(g, sub, class_size)
-        if sub.size in (1, g.n):
-            # the trivial subgroup and the whole group are never extended
-            assert gens is None and extensions == []
-            continue
-        normalizer = _brute_normalizer(g, sub)
-        assert len(normalizer) * class_size == g.n  # orbit-stabilizer
-        assert gens == _greedy_generators(g, normalizer), sub
-        assert _bfs(g, gens) == set(normalizer), sub
+    steps = _extension_normalizers(g)
+    classes = _classes(g)
+    class_size = {s.ids: len(classes[s.class_number]) for s in g.subgroups()}
+    # every class but the trivial subgroup and the whole group, each once
+    # by the certificate, and the cyclic classes once more by the search
+    extended = [members[0].ids for members in classes.values() if 1 < members[0].size < g.n]
+    certified = [ids for ids, _ in steps[len(steps) - len(extended) :]]
+    assert certified == extended
+    for ids, gens in steps:
+        normalizer = _brute_normalizer(g, Subgroup(ids))
+        assert len(normalizer) * class_size[ids] == g.n  # orbit-stabilizer
+        assert _bfs(g, gens) == set(normalizer), ids
+        assert 2 ** len(gens) <= len(normalizer)  # each kept one doubles the closure
 
 
 @pytest.mark.parametrize("kind,args", [("psl2", (7,)), ("semidirect", (3, 2, 2))])
 def test_a_class_size_too_small_is_caught(kind, args, monkeypatch):
-    # one conjugate dropped from each class the certificate meets: the
-    # dropped conjugate is met later in list order as the first member of a
-    # class whose number is used, and the certificate says False
+    # one conjugate dropped from class walks the certificate takes: from
+    # every walk, where the dropped conjugate is met later in list order as
+    # the first member of a class whose number is used, and from the walks
+    # whose shorter class asks for a larger normalizer, where the Schreier
+    # generators fall short of n / |class| and the certificate catches the
+    # RuntimeError; it says False either way
     g = Psl2Atlas(*args) if kind == "psl2" else build(kind, args)
     g.subgroups()
-    conjugacy_class = g._conjugacy_class
+    conjugacy_class, normalizer_generators = g._conjugacy_class, g._normalizer_generators
+    raised = []
 
-    def short(ids, conjugators):
-        found = conjugacy_class(ids, conjugators)
-        if len(found) > 1:
-            found.remove(next(other for other in found if other != ids))
-        return found
+    def spied(class_size, edges):
+        try:
+            return normalizer_generators(class_size, edges)
+        except RuntimeError:
+            raised.append(class_size)
+            raise
 
-    monkeypatch.setattr(g, "_conjugacy_class", short)
-    assert not g.three_generator_stability()
-    monkeypatch.undo()
-    # handed a class size one too small, the normalizer scan looks for a
-    # normalizer larger than N(H), runs out of ids, and refuses instead of
-    # extending by a subgroup of the wrong order
+    for drops in (lambda size: True, lambda size: g.n // (size - 1) != g.n // size):
+
+        def short(ids, conjugators):
+            members, edges = conjugacy_class(ids, conjugators)
+            if len(members) > 1 and drops(len(members)):
+                members = members[:1] + members[2:]
+            return members, edges
+
+        monkeypatch.setattr(g, "_conjugacy_class", short)
+        monkeypatch.setattr(g, "_normalizer_generators", spied)
+        assert not g.three_generator_stability()
+        monkeypatch.undo()
+    assert raised
+    # handed a class size one too small, the greedy closure looks for a
+    # normalizer larger than N(H), runs out of Schreier generators, and
+    # refuses instead of extending by a subgroup of the wrong order
     refused = 0
     for members in _classes(g).values():
         size = len(members)
         if size > 1 and g.n // (size - 1) != g.n // size:
-            sub = members[0]
+            walked, edges = g._conjugacy_class(members[0].ids, g._conjugators())
+            assert len(walked) == size
             with pytest.raises(RuntimeError, match="not the expected"):
-                list(g._extensions(sub.ids, _greedy_generators(g, sub.ids), size - 1))
+                g._normalizer_generators(size - 1, edges)
             refused += 1
     assert refused
