@@ -347,19 +347,18 @@ def _flatten(value):
     return value
 
 
-def emit(payload: dict, rows, fmt: str):
+def render(payload: dict, rows, fmt: str) -> str:
+    """The output text, without its final newline.  ValueError if it would
+    print an integer past Python's integer-string limit, as a genus can
+    from a jump of 4299 digits."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-        return
+        return json.dumps(payload, sort_keys=True)
     if fmt == "csv":
         records = rows if rows is not None else [payload]
         keys = sorted({k for rec in records for k in rec})
-        print(",".join(keys))
-        for rec in records:
-            print(",".join(str(_flatten(rec.get(k, ""))) for k in keys))
-        return
-    for key in sorted(payload):
-        print(f"{key}: {_flatten(payload[key])}")
+        lines = [",".join(str(_flatten(rec.get(k, ""))) for k in keys) for rec in records]
+        return "\n".join([",".join(keys), *lines])
+    return "\n".join(f"{key}: {_flatten(payload[key])}" for key in sorted(payload))
 
 
 @lru_cache(maxsize=1)
@@ -463,13 +462,14 @@ def main(argv=None) -> int:
     handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
         payload, rows, code = handler(args)
+        text = render(payload, rows, args.format)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # an invariant the program checks on itself broke
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    emit(payload, rows, args.format)
+    print(text)
     return code
 
 

@@ -34,8 +34,9 @@ the steps from the cyclic class representatives; the certificate takes one
 from the first member of every class of listed subgroups, on generators it
 picks from that member's ids, and finds nothing new.  Each walks the class
 of H under a generating set of the whole group before its step, and the
-walk gives N(H) too: it keeps a transversal, and its non-tree edges give
-Schreier generators of N(H), closed greedily up to |N(H)| = n / |class|.
+walk gives N(H) too: its non-tree edges give Schreier generators of N(H)
+(``_schreier``, which PSL2 shares for the orbit of infinity), closed
+greedily up to |N(H)| = n / |class|.
 Most of those closures are the whole group, the costliest to search; a
 subclass that can prove a closure whole without searching it overrides
 ``_proves_whole`` (PSL2 does, by the orbit of infinity on the projective
@@ -216,33 +217,35 @@ class FiniteGroup:
             ]
             # ids -> class label, labelled as the search meets each class
             found = {self._whole_ids: 0}
-            classes = []  # (positions, non-tree edges) of each class walk
+            classes = []  # (positions, Schreier generators) of each class walk
             seen = bytearray(len(cyclic))
             for start in range(len(cyclic)):
                 if not seen[start]:
-                    positions, edges = self._class_walk(start, maps, list.__getitem__)
-                    classes.append((positions, edges))
+                    positions, schreier = self._class_walk(start, maps, list.__getitem__)
+                    classes.append((positions, schreier))
                     for c in positions:
                         seen[c] = 1
                         found.setdefault(cyclic[c].ids, len(classes))
             label = len(classes)
             lower = bytearray(len(cyclic))  # the positions of the classes done
-            for positions, edges in classes:
+            for positions, schreier in classes:
                 first = cyclic[positions[0]]
                 if 1 < first.size < n:  # as in the certificate, see _extensions
-                    normalizer = self._normalizer_generators(len(positions), edges)
+                    normalizer = self._generating_set(n // len(positions), schreier)
                     for ids in self._extensions(first.ids, first.generators, normalizer, lower):
                         # a whole closure is the whole group, found already
                         if len(ids) < n and ids not in found:
                             label += 1
-                            for image in self._conjugacy_class(ids, conjugators)[0]:
+                            for image in self._class_walk(ids, conjugators, _conjugate)[0]:
                                 found[image] = label
                 for c in positions:
                     lower[c] = 1
+            order = sorted(found)
+            order.sort(key=len)  # stable, so (size, ids) order
             number: dict[int, int] = {}  # class label -> class number, in list order
             self._subgroups = [
-                Subgroup(ids, class_number=number.setdefault(label, len(number)))
-                for ids, label in sorted(found.items(), key=lambda item: (len(item[0]), item[0]))
+                Subgroup(ids, class_number=number.setdefault(found[ids], len(number)))
+                for ids in order
             ]
         return self._subgroups
 
@@ -267,9 +270,10 @@ class FiniteGroup:
         stops once the closure has ``order`` elements, so the candidates
         after the last generator are never read.  Three callers: the whole
         group (_conjugators), a listed subgroup from its sorted ids, and
-        N(R) from the Schreier generators of R's class walk
-        (_normalizer_generators).  RuntimeError if the candidates generate
-        a subgroup of another order: ``order`` was wrong."""
+        N(R), of order n / |class| (orbit-stabilizer), from the Schreier
+        generators of R's class walk (_class_walk).  RuntimeError if the
+        candidates generate a subgroup of another order: ``order`` was
+        wrong, as when a class walk lost a member."""
         gens = []
         reached = {self.identity_id}
         for g in range(self.n) if candidates is None else candidates:
@@ -286,46 +290,50 @@ class FiniteGroup:
 
     def _class_walk(self, start, conjugators, image):
         """The class of R = ``start`` under conjugation by the whole group:
-        its members in the order reached, R first, and the non-tree edges of
-        the walk.  ``conjugators`` are the pairs (g, map) of _conjugators,
-        the map possibly over other objects than ids, and ``image(map, S)``
-        is the member g S g^-1.
-
-        The walk keeps a transversal, t_S with t_S R t_S^-1 = S: t_R = 1,
-        and t_{gSg^-1} = g t_S over the edge that first reaches a member.
-        Every other edge S -> S' by g is listed as (t_S', g, t_S); its
-        Schreier generator t_S'^-1 g t_S maps R to itself, and these
-        generate N(R) (Schreier's lemma; Holt, Eick and O'Brien, *Handbook
-        of Computational Group Theory*, 4.1)."""
-        mul = self.mul
-        trans = {start: self.identity_id}
+        its members in the order reached, R first, and the Schreier
+        generators of the walk (_schreier), which generate N(R).
+        ``conjugators`` are the pairs (g, map) of _conjugators, the map
+        possibly over other objects than ids, and ``image(map, S)`` is the
+        member g S g^-1."""
+        parent = {start: ()}
         members, edges = [start], []
-        for s in members:  # grows while it is read
-            t = trans[s]
+        for x in members:  # grows while it is read
             for g, conj in conjugators:
-                other = image(conj, s)
-                u = trans.get(other)
-                if u is None:
-                    trans[other] = mul(g, t)
-                    members.append(other)
+                y = image(conj, x)
+                if y in parent:
+                    edges.append((x, g, y))
                 else:
-                    edges.append((u, g, t))
-        return members, edges
+                    parent[y] = (x, g)
+                    members.append(y)
+        return members, self._schreier(start, parent, edges)
 
-    def _conjugacy_class(self, ids, conjugators):
-        """_class_walk over the conjugates g H g^-1, as sorted ids, of the
-        subgroup H = ids."""
-        return self._class_walk(ids, conjugators, _conjugate)
+    def _schreier(self, root, parent, edges):
+        """Schreier's lemma (Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, 4.1) on an orbit walk from ``root``:
+        ``parent[y]`` is (x, g) for the edge x -> y = g.x that first reached
+        y, and ``edges`` are the other edges (x, g, y).  Yields
+        t_y^-1 g t_x for each of those edges, in order, unless it is the
+        identity, where t_x is the product of the tree's labels from root to
+        x, multiplied out when a generator first asks for it.  They fix
+        root and generate its stabilizer in the group the labels generate.
+        """
+        mul, inverses, identity = self.mul, self.inverses, self.identity_id
+        known = {root: identity}
 
-    def _normalizer_generators(self, class_size: int, edges) -> list[int]:
-        """Generators of N(R), where R's class walk listed ``class_size``
-        members and the non-tree ``edges``: their Schreier generators, each
-        computed when it is read, closed greedily up to |N(R)| =
-        n / class_size (orbit-stabilizer; _generating_set).  RuntimeError
-        if they generate a smaller group, as when the walk lost a member."""
-        mul, inverses = self.mul, self.inverses
-        schreier = (mul(inverses[u], mul(g, t)) for u, g, t in edges)
-        return self._generating_set(self.n // class_size, schreier)
+        def trans(y):  # a loop: a closure that calls itself is a reference cycle
+            path = []
+            while y not in known:
+                path.append(y)
+                y = parent[y][0]
+            t = known[y]
+            for y in reversed(path):
+                t = known[y] = mul(parent[y][1], t)
+            return t
+
+        for x, g, y in edges:
+            s = mul(inverses[trans(y)], mul(g, trans(x)))
+            if s != identity:
+                yield s
 
     def _cyclic_orbits(self, maps, skip) -> list[list[int]]:
         """Orbits of the cyclic subgroups, as positions in cyclic_subgroups(),
@@ -354,7 +362,7 @@ class FiniteGroup:
         <H, gyg^-1> = g<H, y>g^-1 for g in N(H), these stand for every
         <H, y'> up to conjugacy.  ``normalizer`` generates N(H); both
         callers take it from the walk that lists the class of H
-        (_normalizer_generators).  The cyclic subgroups inside H form whole
+        (_class_walk).  The cyclic subgroups inside H form whole
         N(H)-orbits and are left out before the orbits are taken, with the
         positions in cyclic_subgroups() marked in ``skip``, which must be a
         union of N(H)-orbits too; only the generators of the others are
@@ -494,14 +502,14 @@ class FiniteGroup:
                 gens = self._generating_set(sub.size, sub.ids)
             except RuntimeError:  # the ids generate a group of another order
                 return False
-            conjugates, edges = self._conjugacy_class(sub.ids, conjugators)
+            conjugates, schreier = self._class_walk(sub.ids, conjugators, _conjugate)
             if self.closure_ids(gens) != sub.ids or any(number.get(c) != k for c in conjugates):
                 return False
             k += 1
             seen.update(conjugates)
             if 1 < sub.size < n:  # the trivial subgroup and the whole group are not extended
                 try:
-                    normalizer = self._normalizer_generators(len(conjugates), edges)
+                    normalizer = self._generating_set(n // len(conjugates), schreier)
                 except RuntimeError:  # the walk lost a conjugate
                     return False
                 # a whole closure is listed; its n ids are not hashed to say so

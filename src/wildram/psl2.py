@@ -387,14 +387,12 @@ class Psl2Atlas(FiniteGroup):
 
     def _schreier_generators(self, gens):
         """None when the orbit of infinity (point l) of P^1(F_l) under gens
-        has at most l points, else its Schreier generators: one breadth-first
-        pass, reading each generator's matrix once, maps infinity to a/c and
-        each other point z to (az + b)/(cz + d), records the tree parent
+        has at most l points, else its Schreier generators (_schreier), which
+        fix infinity and generate its stabilizer: one breadth-first pass,
+        reading each generator's matrix once, maps infinity to a/c and each
+        other point z to (az + b)/(cz + d), and records the tree parent
         (o, g) of each point first reached and every other edge o -> y = g(o),
-        and the iterator yields trans(y)^-1 g trans(o) for each such edge, in
-        (point, generator) order, unless it is the identity.  trans(y) maps
-        infinity to y along the tree and is multiplied out when first asked
-        for.  They fix infinity and generate its stabilizer (Schreier's lemma).
+        in (point, generator) order.
         """
         ell, elements, inverse = self.ell, self.elements, self._inverse_mod
         mats = [(g, *elements[g]) for g in gens]
@@ -419,26 +417,7 @@ class Psl2Atlas(FiniteGroup):
                     edges.append((o, g, y))
         if len(points) < ell:
             return None
-        mul, inverses, identity = self.mul, self.inverses, self.identity_id
-        known = {ell: identity}
-
-        def trans(y):  # a loop: a closure that calls itself is a reference cycle
-            path = []
-            while y not in known:
-                path.append(y)
-                y = parent[y][0]
-            t = known[y]
-            for y in reversed(path):
-                t = known[y] = mul(parent[y][1], t)
-            return t
-
-        def schreier():
-            for o, g, y in edges:
-                s = mul(inverses[trans(y)], mul(g, trans(o)))
-                if s != identity:
-                    yield s
-
-        return schreier()
+        return self._schreier(ell, parent, edges)
 
     def _proves_whole(self, gens) -> bool:
         """Whether <gens> = K is proven to be the whole group from its action
@@ -447,15 +426,15 @@ class Psl2Atlas(FiniteGroup):
 
         The whole group is transitive on the l + 1 points, so a shorter orbit
         means False.  Otherwise |K| = (l + 1) |K_inf| (orbit-stabilizer).
-        The Schreier generators of the orbit (``_schreier_generators``; Holt,
-        Eick and O'Brien, *Handbook of Computational Group Theory*, 4.1-4.4)
-        and the commutator of each two consecutive ones lie in K_inf, so the
-        lcm L of their orders divides |K_inf|, and once 2 (l + 1) L > n
-        Lagrange leaves only the whole group.  Each of them must fix infinity,
-        that is have lower left entry 0, or RuntimeError.  If K is the whole
-        group, K_inf is the Borel subgroup of order l (l - 1)/2.  The Schreier
-        generators generate it, so they map onto its cyclic quotient of order
-        (l - 1)/2.  Unless one of them has order l, two consecutive ones do
+        The Schreier generators of the orbit (``_schreier_generators``, by the
+        engine's ``_schreier``; Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, 4.1-4.4) and the commutator of each two
+        consecutive ones lie in K_inf, so the lcm L of their orders divides
+        |K_inf|, and once 2 (l + 1) L > n Lagrange leaves only the whole
+        group.  Each of them must fix infinity, that is have lower left entry
+        0, or RuntimeError.  If K is the whole group, K_inf is the Borel
+        subgroup of order l (l - 1)/2.  The Schreier generators generate it,
+        so they map onto its cyclic quotient of order (l - 1)/2.  Unless one of them has order l, two consecutive ones do
         not commute, since commuting elements of order prime to l lie in one
         torus, and their commutator has order l.  So L reaches l (l - 1)/2
         and every whole closure is proven; False leaves the question to

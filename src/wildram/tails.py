@@ -85,7 +85,7 @@ def solve_tail_configs(
     """All configurations with exactly n_prim primitive tails and a number
     of new tails in [n_new_min, n_new_max].  sigma_bound, when given, caps
     individual invariants (the equation already caps them at 2)."""
-    if m_G < 1 or n_prim < 0 or n_new_min < 0:
+    if m_G < 1 or n_prim < 0 or n_new_min < 0 or (n_new_max is not None and n_new_max < 0):
         raise ValueError("counts must be nonnegative and m_G positive")
     step = Fraction(1, m_G)
     cap = Fraction(sigma_bound) if sigma_bound is not None else Fraction(2)

@@ -155,6 +155,18 @@ def test_rationals_outside_n_and_n_over_d_are_refused(capsys):
         assert err.startswith("error: cannot parse rational value"), argv
 
 
+def test_a_result_past_the_integer_string_limit_is_refused(capsys):
+    # a 4299-digit jump parses, and its genus has more digits than Python
+    # prints: the output is rendered before any of it is written, so every
+    # format exits 2 with one error line and nothing on stdout
+    jumps = f"1/2,{10**4299 - 5}/2"
+    for fmt in ("json", "csv", "plain"):
+        argv = ["genus", "--order", "108", "--p", "3", "--m", "2", "--jumps", jumps]
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+
 def test_primes_past_the_limit_are_refused_before_trial_division(capsys):
     # trial division of a prime near 10^18 ran past any timeout, before
     # the budget of verify-group was even read
@@ -217,6 +229,16 @@ def test_tails_and_infer(capsys):
     assert code == 0
     assert payload["allowed_r"] == [1]
     assert payload["abelian_possible"] is False
+
+
+def test_tails_refuses_negative_counts(capsys):
+    # a negative maximum count of new tails used to be read as an empty
+    # range and served with no configurations, exit 0
+    for flag in ("--new-min", "--new-max"):
+        argv = ["tails", "--mG", "5", "--prim", "0", flag, "-3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: counts must be nonnegative and m_G positive\n", argv
 
 
 def test_infer_refuses_p_2_like_every_other_subcommand(capsys):

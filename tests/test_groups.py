@@ -13,7 +13,7 @@ import pytest
 
 from wildram import cli
 from wildram.exactmath import is_prime, prime_factors, vp
-from wildram.groups import ORDER_LIMIT, Subgroup
+from wildram.groups import ORDER_LIMIT, Subgroup, _conjugate
 from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
 from wildram.tails import SmallGroup, generation_obstruction
 
@@ -445,7 +445,7 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
         (a, [mul(mul(a, x), inv[a]) for x in range(g.n)]) for a in g._generating_set(g.n)
     ]
     for members in classes.values():
-        expected, _ = g._conjugacy_class(members[0].ids, conjugators)
+        expected, _ = g._class_walk(members[0].ids, conjugators, _conjugate)
         assert sorted(s.ids for s in members) == sorted(expected), members[0]
 
 
@@ -456,7 +456,7 @@ def test_conjugacy_class_matches_conjugation_by_every_element(kind, args):
     g = _make(kind, args)
     conjugators = g._conjugators()
     for sub in g.subgroups():
-        members, _ = g._conjugacy_class(sub.ids, conjugators)
+        members, _ = g._class_walk(sub.ids, conjugators, _conjugate)
         assert members[0] == sub.ids and len(set(members)) == len(members)
         assert set(members) == _conjugates(g, sub), sub.ids
 
@@ -676,14 +676,17 @@ def test_schreier_generators_generate_the_stabilizer_of_infinity(ell):
 
 
 def test_the_orbit_pass_leaves_no_reference_cycles():
-    # what each _proves_whole call builds (parent map, edges, transversal)
-    # is freed by reference counting, not left for the cyclic collector
-    g = Psl2Atlas(7)
+    # what each class walk and each _proves_whole call builds (parent map,
+    # edges, the Schreier generators and their transversal) is freed by
+    # reference counting, not left for the cyclic collector, on PSL2 and on
+    # a SmallGroup
+    groups = [Psl2Atlas(7), SmallGroup.semidirect(3, 2, 2)]
     gc.collect()
     gc.disable()
     try:
-        g.subgroups()
-        assert g.three_generator_stability()
+        for g in groups:
+            g.subgroups()
+            assert g.three_generator_stability()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -812,26 +815,26 @@ def test_a_class_size_too_small_is_caught(kind, args, monkeypatch):
     # RuntimeError; it says False either way
     g = Psl2Atlas(*args) if kind == "psl2" else build(kind, args)
     g.subgroups()
-    conjugacy_class, normalizer_generators = g._conjugacy_class, g._normalizer_generators
+    class_walk, generating_set = g._class_walk, g._generating_set
     raised = []
 
-    def spied(class_size, edges):
+    def spied(order, candidates=None):
         try:
-            return normalizer_generators(class_size, edges)
+            return generating_set(order, candidates)
         except RuntimeError:
-            raised.append(class_size)
+            raised.append(order)
             raise
 
     for drops in (lambda size: True, lambda size: g.n // (size - 1) != g.n // size):
 
-        def short(ids, conjugators):
-            members, edges = conjugacy_class(ids, conjugators)
+        def short(start, conjugators, image):
+            members, schreier = class_walk(start, conjugators, image)
             if len(members) > 1 and drops(len(members)):
                 members = members[:1] + members[2:]
-            return members, edges
+            return members, schreier
 
-        monkeypatch.setattr(g, "_conjugacy_class", short)
-        monkeypatch.setattr(g, "_normalizer_generators", spied)
+        monkeypatch.setattr(g, "_class_walk", short)
+        monkeypatch.setattr(g, "_generating_set", spied)
         assert not g.three_generator_stability()
         monkeypatch.undo()
     assert raised
@@ -842,9 +845,69 @@ def test_a_class_size_too_small_is_caught(kind, args, monkeypatch):
     for members in _classes(g).values():
         size = len(members)
         if size > 1 and g.n // (size - 1) != g.n // size:
-            walked, edges = g._conjugacy_class(members[0].ids, g._conjugators())
+            walked, schreier = g._class_walk(members[0].ids, g._conjugators(), _conjugate)
             assert len(walked) == size
             with pytest.raises(RuntimeError, match="not the expected"):
-                g._normalizer_generators(size - 1, edges)
+                g._generating_set(g.n // (size - 1), schreier)
             refused += 1
     assert refused
+
+
+def _eager_class_walk(g, start, conjugators, image, conjugate):
+    """The class walk of ``start`` with its transversal multiplied out as
+    each member is reached, t_y = a t_x over the edge x -> y by a, each
+    checked by ``conjugate(t_y, start) == y``, and the Schreier generators
+    t_y^-1 a t_x of the other edges in walk order, the identity left out."""
+    mul, inverses, e = g.mul, g.inverses, g.identity_id
+    trans, members, schreier = {start: e}, [start], []
+    for x in members:
+        for a, conj in conjugators:
+            y = image(conj, x)
+            if y in trans:
+                s = mul(inverses[trans[y]], mul(a, trans[x]))
+                if s != e:
+                    schreier.append(s)
+            else:
+                trans[y] = mul(a, trans[x])
+                members.append(y)
+    assert all(conjugate(t, start) == y for y, t in trans.items())
+    return members, schreier
+
+
+@pytest.mark.parametrize("kind,args", CLASS_GROUPS)
+def test_lazy_schreier_generators_match_an_eager_transversal(kind, args):
+    # both kinds of class walk, over the positions of the cyclic subgroups
+    # (the search's) and over sorted ids (the certificate's, and the
+    # search's on new closures): the lazily multiplied Schreier generators
+    # are the eager oracle's, element for element and in order, and each
+    # maps the class's first member to itself
+    g = _make(kind, args)
+    mul, inverses = g.mul, g.inverses
+    cyclic, cyclic_of = g.cyclic_subgroups(), g._cyclic_of
+    conjugators = g._conjugators()
+    maps = [(a, [cyclic_of[conj[c.generators[0]]] for c in cyclic]) for a, conj in conjugators]
+
+    def on_position(t, c):
+        return cyclic_of[mul(mul(t, cyclic[c].generators[0]), inverses[t])]
+
+    def on_ids(t, ids):
+        return tuple(sorted(mul(mul(t, h), inverses[t]) for h in ids))
+
+    seen = set()
+    positions = []
+    for c in range(len(cyclic)):
+        if c not in seen:
+            positions.append(c)
+            seen.update(_eager_class_walk(g, c, maps, list.__getitem__, on_position)[0])
+    firsts = [members[0].ids for members in _classes(g).values()]
+    walks = [
+        (positions, maps, list.__getitem__, on_position),
+        (firsts, conjugators, _conjugate, on_ids),
+    ]
+    for starts, conjugators, image, conjugate in walks:
+        for start in starts:
+            members, schreier = g._class_walk(start, conjugators, image)
+            expected_members, expected = _eager_class_walk(g, start, conjugators, image, conjugate)
+            yielded = list(schreier)
+            assert (members, yielded) == (expected_members, expected), start
+            assert all(conjugate(s, start) == start for s in yielded), start

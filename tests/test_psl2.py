@@ -238,7 +238,7 @@ def test_subgroup_claims_7_13():
     ]
 
 
-@pytest.mark.parametrize("p,ell,budget", [(3, 11, 14371), (7, 13, 18066)])
+@pytest.mark.parametrize("p,ell,budget", [(3, 11, 13424), (7, 13, 16506)])
 def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
     # a work budget with no timing noise: the group products of a cold run,
     # atlas build included, counted at every product kernel of Psl2Atlas:
