@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd
 
@@ -28,6 +28,7 @@ from .ramification import (
     is_admissible,
     lower_from_upper,
     tame_base_change,
+    unmet_conditions,
     upper_from_lower,
 )
 from .tails import SmallGroup, branch_cycle_feasible, generation_obstruction, solve_tail_configs
@@ -76,13 +77,24 @@ def _expect(condition: bool, message: str):
 # Deterministic and randomized tower families
 
 
+# The two tables below are small, pure and immutable, so they are computed
+# once per key and shared; the towers drawn from them are built afresh.
+
+
+@lru_cache(maxsize=64)
+def _residue_classes(p: int, m: int) -> tuple[int, ...]:
+    return tuple(j for j in range(m) if (p - 1) % (m // gcd(m, j)) == 0)
+
+
 def valid_residue_classes(p: int, m: int) -> list[int]:
     """Classes j mod m whose induced action order m/gcd(m, j) divides p - 1."""
-    return [j for j in range(m) if (p - 1) % (m // gcd(m, j)) == 0]
+    return list(_residue_classes(p, m))
 
 
-def _valid_degrees(p: int, m: int, j: int, top: int) -> list[int]:
-    return [d for d in range(1, top + 1) if d % p != 0 and d % m == j]
+@lru_cache(maxsize=256)
+def _valid_degrees(p: int, m: int, j: int, top: int) -> tuple[int, ...]:
+    """Degrees 1 <= d <= top prime to p with d = j (mod m)."""
+    return tuple(d for d in range(1, top + 1) if d % p != 0 and d % m == j)
 
 
 def sweep_tower_specs(max_degree_r1: int = 40, max_degree_r2: int = 20) -> list[TowerSpec]:
@@ -101,7 +113,7 @@ def sweep_tower_specs(max_degree_r1: int = 40, max_degree_r2: int = 20) -> list[
             if d % p
         }
         for m in (1, 2):
-            for j in valid_residue_classes(p, m):
+            for j in _residue_classes(p, m):
                 degs1 = _valid_degrees(p, m, j, max_degree_r1)
                 for d in degs1:
                     specs.append(
@@ -133,8 +145,7 @@ def random_tower_spec(rng: random.Random, max_degree: int = 40, r_choices=(1, 2)
         m = rng.choice((1, 2, 3))
         if gcd(m, p) != 1:
             continue
-        classes = valid_residue_classes(p, m)
-        j = rng.choice(classes)
+        j = rng.choice(_residue_classes(p, m))
         r = rng.choice(r_choices)
         degs = _valid_degrees(p, m, j, max_degree)
         if not degs:
@@ -186,16 +197,19 @@ def random_admissible(inertia: InertiaType, rng: random.Random) -> JumpSequence:
 
 
 def naive_admissible_filter(inertia: InertiaType, bound) -> list[JumpSequence]:
-    """Grid-filter oracle: test every increasing tuple over (1/m) Z."""
-    bound = Fraction(bound)
+    """Grid-filter oracle: every strictly increasing tuple of integers
+    0 < n_1 < ... < n_r <= m bound, that is every increasing sequence on
+    (1/m) Z with u_r <= bound, so condition (a) holds by construction.
+    Each tuple is tested on (b)-(d) by ramification.unmet_conditions, and a
+    JumpSequence u_i = n_i / m is built only for the tuples that pass.  It
+    shares no code with the admissible walk behind enumerate_admissible."""
     m, r = inertia.m, inertia.r
-    top = int(m * bound)
-    out = []
-    for ns in combinations(range(1, top + 1), r):
-        seq = JumpSequence(tuple(Fraction(n, m) for n in ns))
-        if is_admissible(inertia, seq).admissible:
-            out.append(seq)
-    return out
+    top = int(m * Fraction(bound))
+    return [
+        JumpSequence(tuple([Fraction(n, m) for n in ns]))
+        for ns in combinations(range(1, top + 1), r)
+        if not unmet_conditions(inertia, ns)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def _cmd_tower_predict(args):
         **verdict.to_dict(),
     }
     if verdict.valid:
-        payload["jumps"] = predicted_jumps(spec).to_strings()
+        payload["jumps"] = predicted_jumps(spec, verdict).to_strings()
         payload["inertia"] = inertia_type_of(spec).to_dict()
         payload["oracle_supported"] = oracle_supported(spec)
         if not oracle_supported(spec):
@@ -239,8 +239,9 @@ def _cmd_tower_oracle(args):
         "jumps": jumps.to_strings(),
     }
     code = EXIT_OK
-    if validate_spec(spec).valid:
-        predicted = predicted_jumps(spec)
+    verdict = validate_spec(spec)
+    if verdict.valid:
+        predicted = predicted_jumps(spec, verdict)
         payload["agrees_with_recurrence"] = predicted == jumps
         if predicted != jumps:
             payload["recurrence_jumps"] = predicted.to_strings()
@@ -350,22 +351,39 @@ def _flatten(value):
 def render(payload: dict, rows, fmt: str) -> str:
     """The output text, without its final newline.  ValueError if it would
     print an integer past Python's integer-string limit, as a genus can
-    from a jump of 4299 digits."""
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True)
-    if fmt == "csv":
-        records = rows if rows is not None else [payload]
-        keys = sorted({k for rec in records for k in rec})
-        lines = [",".join(str(_flatten(rec.get(k, ""))) for k in keys) for rec in records]
-        return "\n".join([",".join(keys), *lines])
-    return "\n".join(f"{key}: {_flatten(payload[key])}" for key in sorted(payload))
+    from a jump of 4299 digits; its message names the limit, in place of
+    Python's hint at a setting no CLI user can reach."""
+    try:
+        if fmt == "json":
+            return json.dumps(payload, sort_keys=True)
+        if fmt == "csv":
+            records = rows if rows is not None else [payload]
+            keys = sorted({k for rec in records for k in rec})
+            lines = [",".join(str(_flatten(rec.get(k, ""))) for k in keys) for rec in records]
+            return "\n".join([",".join(keys), *lines])
+        return "\n".join(f"{key}: {_flatten(payload[key])}" for key in sorted(payload))
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses a command line as every other
+    refusal is made: one "error: <message>" line on stderr, exit code 2.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It records only the
     subcommand name; main looks its _cmd_* handler up when it dispatches."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wildram",
         description="exact computations for wildly ramified one-point covers",
     )

@@ -7,7 +7,10 @@ u_1 < ... < u_r.  This module decides which jump sequences can occur
 with the two piecewise-linear Herbrand maps, evaluates the ramification
 divisor degree and the genus of a cover with those local invariants, and
 enumerates admissible sequences exactly.  Conditions (a)-(d), the Herbrand
-maps and the divisor degree are evaluated on the integers n_i = m u_i.
+maps and the divisor degree are evaluated on the integers n_i = m u_i: the
+numerator step decides (a), and one integer core, unmet_conditions, decides
+(b)-(d) for every caller.  is_admissible wraps the two and builds condition
+results and witness texts; the other callers ask the core only.
 
 Enumeration is one walk over those integers, testing (a)-(d) at each step.
 Floored by the numerators of an admissible base, the same walk visits only
@@ -118,10 +121,13 @@ class AdmissibilityVerdict:
         }
 
 
-def _numerators(m: int, seq: JumpSequence) -> list[int] | None:
-    """The integers n_i = m u_i, or None when some u_i is off the grid
-    (1/m) Z.  A u in lowest terms lies on it exactly when its denominator
-    divides m."""
+def _numerators(inertia: InertiaType, seq: JumpSequence) -> list[int] | None:
+    """The numerator step: the integers n_i = m u_i, or None when some u_i
+    is off the grid (1/m) Z, which is condition (a).  A u in lowest terms
+    lies on it exactly when its denominator divides m."""
+    if len(seq) != inertia.r:
+        raise ValueError(f"sequence length {len(seq)} does not match r = {inertia.r}")
+    m = inertia.m
     n = []
     for u in seq:
         q, rem = divmod(m, u.denominator)
@@ -131,70 +137,87 @@ def _numerators(m: int, seq: JumpSequence) -> list[int] | None:
     return n
 
 
-def is_admissible(inertia: InertiaType, seq: JumpSequence) -> AdmissibilityVerdict:
-    """Evaluate conditions (a)-(d) exactly; see the module docstring."""
-    return _evaluate(inertia, seq)[0]
+def unmet_conditions(inertia: InertiaType, n) -> list[tuple[str, int]]:
+    """The integer core of conditions (b)-(d) on numerators n_i = m u_i:
+    the conditions n fails, in order, each as (name, where), and an empty
+    list when all three hold.  where is gcd(m, n_1) for (b); for (c) the
+    index i of the first n_i that breaks the growth rule, 0 when p | n_1;
+    for (d) the index of the first n_i off the class of n_1 mod m."""
+    p, m = inertia.p, inertia.m
+    unmet = []
+    g = gcd(m, n[0])
+    if g != m // inertia.m_I:
+        unmet.append(("b", g))
+    bad_c = 0 if n[0] % p == 0 else None
+    bad_d = None
+    base = n[0] % m
+    for i in range(1, len(n)):
+        grown = p * n[i - 1]
+        if bad_c is None and n[i] != grown and (n[i] < grown or n[i] % p == 0):
+            bad_c = i
+        if bad_d is None and n[i] % m != base:
+            bad_d = i
+    if bad_c is not None:
+        unmet.append(("c", bad_c))
+    if bad_d is not None:
+        unmet.append(("d", bad_d))
+    return unmet
 
 
-# ConditionResult is immutable, so every verdict shares these.
+# ConditionResult and AdmissibilityVerdict are immutable, so every verdict
+# shares these.
 _PASSED = {name: ConditionResult(name, True) for name in "abcd"}
 _SKIPPED = tuple(ConditionResult(name, None) for name in "bcd")
+_ADMISSIBLE = AdmissibilityVerdict(True, tuple(_PASSED.values()))
 
 
-def _evaluate(
-    inertia: InertiaType, seq: JumpSequence
-) -> tuple[AdmissibilityVerdict, list[int] | None]:
-    """The verdict on seq and its numerators n_i = m u_i (None off the grid)."""
-    if len(seq) != inertia.r:
-        raise ValueError(f"sequence length {len(seq)} does not match r = {inertia.r}")
-    p, m, m_I = inertia.p, inertia.m, inertia.m_I
-    n = _numerators(m, seq)
+def _witness(inertia: InertiaType, seq: JumpSequence, n: list[int], name: str, where: int) -> str:
+    """The witness text of one unmet condition (see unmet_conditions)."""
+    p, m = inertia.p, inertia.m
+    if name == "b":
+        return f"gcd({m}, {n[0]}) = {where} != {m // inertia.m_I}"
+    if name == "d":
+        return f"m*u_{where + 1} = {n[where]} != {n[0]} (mod {m})"
+    if where == 0:
+        return f"p | m*u_1 = {n[0]}"
+    grown = p * n[where - 1]
+    if n[where] < grown:
+        return (
+            f"u_{where + 1} = {format_rational(seq[where])} < "
+            f"p*u_{where} = {format_rational(Fraction(grown, m))}"
+        )
+    return f"p | m*u_{where + 1} = {n[where]} while u_{where + 1} > p*u_{where}"
+
+
+def is_admissible(inertia: InertiaType, seq: JumpSequence) -> AdmissibilityVerdict:
+    """The verdict on conditions (a)-(d), with a witness for each unmet
+    condition: the numerator step, then unmet_conditions."""
+    n = _numerators(inertia, seq)
     if n is None:
+        m = inertia.m
         bad = next(u for u in seq if m % u.denominator)
         witness = f"m*u = {format_rational(Fraction(m * bad.numerator, bad.denominator))}"
-        return AdmissibilityVerdict(False, (ConditionResult("a", False, witness),) + _SKIPPED), n
-
-    g = gcd(m, n[0])
-    if g == m // m_I:
-        cond_b = _PASSED["b"]
-    else:
-        cond_b = ConditionResult("b", False, f"gcd({m}, {n[0]}) = {g} != {m // m_I}")
-
-    cond_c = _PASSED["c"]
-    if n[0] % p == 0:
-        cond_c = ConditionResult("c", False, f"p | m*u_1 = {n[0]}")
-    else:
-        for i in range(1, len(n)):
-            grown = p * n[i - 1]
-            if n[i] == grown:
-                continue
-            if n[i] > grown and n[i] % p != 0:
-                continue
-            if n[i] < grown:
-                wit_c = f"u_{i + 1} = {format_rational(seq[i])} < p*u_{i} = {format_rational(Fraction(grown, m))}"
-            else:
-                wit_c = f"p | m*u_{i + 1} = {n[i]} while u_{i + 1} > p*u_{i}"
-            cond_c = ConditionResult("c", False, wit_c)
-            break
-
-    cond_d = _PASSED["d"]
-    bad_d = next((i for i in range(len(n)) if n[i] % m != n[0] % m), None)
-    if bad_d is not None:
-        cond_d = ConditionResult(
-            "d", False, f"m*u_{bad_d + 1} = {n[bad_d]} != {n[0]} (mod {m})"
-        )
-
-    conds = (_PASSED["a"], cond_b, cond_c, cond_d)
-    return AdmissibilityVerdict(all(c.ok for c in conds), conds), n
+        return AdmissibilityVerdict(False, (ConditionResult("a", False, witness),) + _SKIPPED)
+    unmet = dict(unmet_conditions(inertia, n))
+    if not unmet:
+        return _ADMISSIBLE
+    conds = tuple(
+        ConditionResult(name, False, _witness(inertia, seq, n, name, unmet[name]))
+        if name in unmet
+        else _PASSED[name]
+        for name in "bcd"
+    )
+    return AdmissibilityVerdict(False, (_PASSED["a"],) + conds)
 
 
 def admissible_numerators(inertia: InertiaType, seq: JumpSequence, what: str) -> list[int]:
     """The numerators n_i = m u_i of seq, which must be admissible; a
-    ValueError naming ``what`` otherwise."""
-    verdict, n = _evaluate(inertia, seq)
-    if not verdict.admissible:
+    ValueError naming ``what`` and the first unmet condition otherwise."""
+    n = _numerators(inertia, seq)
+    unmet = [("a", 0)] if n is None else unmet_conditions(inertia, n)
+    if unmet:
         raise ValueError(
-            f"{what} needs an admissible sequence; {seq} fails condition ({verdict.failed})"
+            f"{what} needs an admissible sequence; {seq} fails condition ({unmet[0][0]})"
         )
     return n
 
@@ -206,8 +229,10 @@ def compatible_numerators(
     sequence of numerators n (see deformation_compatible), else None."""
     if len(target) != len(n):
         raise ValueError("target sequence has the wrong length")
-    verdict, n_target = _evaluate(inertia, target)
-    if not verdict.admissible or any(a > b for a, b in zip(n, n_target)):
+    n_target = _numerators(inertia, target)
+    if n_target is None or unmet_conditions(inertia, n_target):
+        return None
+    if any(a > b for a, b in zip(n, n_target)):
         return None
     return n_target if (n[0] - n_target[0]) % inertia.m == 0 else None
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
 
@@ -128,17 +129,27 @@ def validate_spec(t: TowerSpec) -> SpecVerdict:
     return SpecVerdict(tuple(v)) if v else _VALID
 
 
+@lru_cache(maxsize=256)
+def _inertia_type(p: int, r: int, m: int, m_I: int) -> InertiaType:
+    """One shared InertiaType per (p, r, m, m_I); the type is frozen, so the
+    towers that share a shape share its value (a refused shape raises on
+    every call, since lru_cache keeps no exception)."""
+    return InertiaType(p=p, r=r, m=m, m_I=m_I)
+
+
 def inertia_type_of(t: TowerSpec) -> InertiaType:
-    m_I = t.m // gcd(t.m, t.residue_class)
-    return InertiaType(p=t.p, r=t.r, m=t.m, m_I=m_I)
+    return _inertia_type(t.p, t.r, t.m, t.m // gcd(t.m, t.residue_class))
 
 
-def predicted_numerators(t: TowerSpec) -> list[int]:
+def predicted_numerators(t: TowerSpec, verdict: SpecVerdict | None = None) -> list[int]:
     """The jump recurrence on the integers n_i = m u_i: n_1 = deg(x_1) and
     n_i = max(deg(x_i), p n_{i-1}), where a zero layer (degree -1 here)
     contributes only the p n_{i-1} branch.  An invalid tower raises
-    ValueError naming its first violation (validate_spec)."""
-    verdict = validate_spec(t)
+    ValueError naming its first violation (validate_spec).  A caller that
+    already holds validate_spec(t) passes it as verdict, so that each tower
+    is validated once."""
+    if verdict is None:
+        verdict = validate_spec(t)
     if not verdict.valid:
         raise ValueError(f"invalid tower: {verdict.violations[0]}")
     p = t.p
@@ -148,10 +159,10 @@ def predicted_numerators(t: TowerSpec) -> list[int]:
     return n
 
 
-def predicted_jumps(t: TowerSpec) -> JumpSequence:
+def predicted_jumps(t: TowerSpec, verdict: SpecVerdict | None = None) -> JumpSequence:
     """u_1 = deg(x_1)/m, u_i = max(deg(x_i)/m, p u_{i-1}): the
-    numerators of predicted_numerators over m."""
-    return JumpSequence(tuple([Fraction(n, t.m) for n in predicted_numerators(t)]))
+    numerators of predicted_numerators (verdict as there) over m."""
+    return JumpSequence(tuple([Fraction(n, t.m) for n in predicted_numerators(t, verdict)]))
 
 
 def oracle_supported(t: TowerSpec) -> bool:
@@ -227,7 +238,10 @@ def witt_wp(u: WittVector) -> WittVector:
 
 
 def _derived_class(m: int, polys) -> int:
-    """Common residue class mod m of all term degrees, or raise."""
+    """Common residue class mod m of all term degrees, or raise.  Every
+    degree is 0 mod 1, so m = 1 answers 0 without looking at the layers."""
+    if m == 1:
+        return 0
     j = next((poly.degree % m for poly in polys if not poly.is_zero), 0)
     if any(_off_class(m, j, poly.coeffs) for poly in polys):
         classes = {d % m for poly in polys for d, _ in poly.terms()}
@@ -259,7 +273,7 @@ def oracle_numerators(t: TowerSpec) -> list[int]:
 
     if t.r == 1:
         rc = _derived_class(m, [reduced0])
-        inertia = InertiaType(p=p, r=1, m=m, m_I=m // gcd(m, rc))
+        inertia = _inertia_type(p, 1, m, m // gcd(m, rc))
         return upper_numerators(inertia, [h1])
 
     vector: WittVector = (t.x_polys[0], t.x_polys[1])
@@ -275,7 +289,7 @@ def oracle_numerators(t: TowerSpec) -> list[int]:
     h2 = h1 + p * (max(p * h1, n1) - h1)
 
     rc = _derived_class(m, [reduced0, reduced1])
-    inertia = InertiaType(p=p, r=2, m=m, m_I=m // gcd(m, rc))
+    inertia = _inertia_type(p, 2, m, m // gcd(m, rc))
     return upper_numerators(inertia, [h1, h2])
 
 
@@ -347,7 +361,7 @@ class DeformationVerdict:
 def verify_deformation(t: TowerSpec, target: JumpSequence, scale: int = 1) -> DeformationVerdict:
     """Deform and confirm both routes report exactly the target jumps."""
     deformed = deform(t, target, scale)
-    predicted = predicted_jumps(deformed)
+    predicted = predicted_jumps(deformed, _VALID)  # deform refuses an invalid result
     oracle = oracle_jumps(deformed) if oracle_supported(deformed) else None
     ok = predicted == target and (oracle is None or oracle == target)
     if ok:

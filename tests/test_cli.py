@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wildram import cli
+from wildram import cli, towers
 from wildram.cli import main
 from wildram.exactmath import PRIME_LIMIT
 from wildram.psl2 import InertiaType
@@ -164,7 +164,7 @@ def test_a_result_past_the_integer_string_limit_is_refused(capsys):
         argv = ["genus", "--order", "108", "--p", "3", "--m", "2", "--jumps", jumps]
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert (code, out) == (2, ""), fmt
-        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+        assert err == "error: the result has an integer of more than 4300 digits\n"
 
 
 def test_primes_past_the_limit_are_refused_before_trial_division(capsys):
@@ -427,12 +427,68 @@ def test_verify_group_table_size_limit(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     code, out, err = run(capsys, "frobnicate")
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument subcommand: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error(capsys):
     code, out, err = run(capsys, "params", "--p", "7", "--ell", "97", "--bogus", "1")
-    assert code == 2
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --bogus 1\n")
+
+
+def test_argparse_refusals_are_one_error_line(capsys):
+    # argparse's own report was a usage block and then "wildram <cmd>:
+    # error: ..."; every refusal is now one "error:" line, as the others are
+    requests = [
+        (("admissible", "--p", "3", "--m", "2", "--jumps", "-e"), "argument --jumps: expected one argument"),
+        (("params", "--p", "seven", "--ell", "97"), "argument --p: invalid int value: 'seven'"),
+        (("genus", "--p", "3", "--m", "2", "--jumps", "1"), "the following arguments are required: --order"),
+        ((), "the following arguments are required: subcommand"),
+    ]
+    for argv, message in requests:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, argv
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (("--help",), ("admissible", "--help")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: wildram")
+
+
+def test_each_tower_is_validated_once(tmp_path, capsys, monkeypatch):
+    # tower-predict and tower-oracle validate their one tower once; deform
+    # validates its input and the deformed tower, once each
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    original = towers.validate_spec
+    monkeypatch.setattr(towers, "validate_spec", counted)
+    monkeypatch.setattr(cli, "validate_spec", counted)
+    valid = tmp_path / "tower.txt"
+    valid.write_text("7 2 2 1\n0 0 0 1\n0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1\n", encoding="ascii")
+    invalid = tmp_path / "bad.txt"
+    invalid.write_text("7 2 1 1\n0 0 1 1\n", encoding="ascii")
+    raw = tmp_path / "raw.txt"  # x^14 + x: invalid, and the oracle reduces it
+    raw.write_text("7 1 1 0\n0 1" + " 0" * 12 + " 1\n", encoding="ascii")
+    requests = [
+        (("tower-predict", "--spec", str(valid)), 0, 1),
+        (("tower-predict", "--spec", str(invalid)), 0, 1),
+        (("tower-oracle", "--spec", str(valid)), 0, 1),
+        (("tower-oracle", "--spec", str(raw)), 0, 1),
+        (("deform", "--spec", str(valid), "--target", "5/2,35/2"), 0, 2),
+    ]
+    for argv, code, count in requests:
+        calls.clear()
+        got, out, err = run(capsys, *argv)
+        assert (got, err) == (code, ""), argv
+        assert len(calls) == count, argv
 
 
 def test_check_all_with_small_budget_skips_subgroups(capsys):

@@ -52,23 +52,26 @@ JUMP_TEXTS = st.one_of(
 @example("1/2, 7/2", "genus")
 @example("5/2", "deform")
 def test_jump_texts_keep_the_cli_contract(tmp_path_factory, text, command):
-    # the --flag=text form hands argparse the text as the value even where
-    # it starts with '-', so every draw reaches the jump parser
+    # each text goes in twice: as --flag=text, which hands argparse the text
+    # as the value even where it starts with '-', so every draw reaches the
+    # jump parser; and as the separate items --flag, text, where argparse may
+    # read a text such as '-e' as an option and refuse the command line
     if command == "deform":
         path = tmp_path_factory.getbasetemp() / "jump-texts-tower.txt"
         path.write_text("7 2 1 1\n0 0 0 1\n", encoding="ascii")
-        argv = ["deform", "--spec", str(path), f"--target={text}"]
+        head, flag = ["deform", "--spec", str(path)], "--target"
     elif command == "genus":
-        argv = ["genus", "--order", "108", "--p", "3", "--m", "2", f"--jumps={text}"]
+        head, flag = ["genus", "--order", "108", "--p", "3", "--m", "2"], "--jumps"
     else:
-        argv = ["admissible", "--p", "3", "--m", "2", f"--jumps={text}"]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == "" and err.startswith("error:") and err.count("\n") == 1
-    else:
-        assert json.loads(out)["command"] == command
+        head, flag = ["admissible", "--p", "3", "--m", "2"], "--jumps"
+    for argv in (head + [f"{flag}={text}"], head + [flag, text]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert json.loads(out)["command"] == command

@@ -432,6 +432,21 @@ def test_integer_layer_matches_references_on_every_small_grid_tuple():
     assert admissible_pairs > 1000
 
 
+def test_grid_filter_matches_a_reference_filter_on_every_small_shape():
+    # the grid-filter oracle of enumeration-complete tests integer tuples
+    # with the integer core; here every Fraction sequence on the same grid
+    # goes through the reference test instead
+    tops = {1: 18, 2: 15, 3: 11}
+    for inertia in small_inertia_types():
+        m, top = inertia.m, tops[inertia.r]
+        grid = (
+            JumpSequence(tuple(Fraction(n, m) for n in ns))
+            for ns in combinations(range(1, top + 1), inertia.r)
+        )
+        expected = [s for s in grid if reference_is_admissible(inertia, s).admissible]
+        assert naive_admissible_filter(inertia, Fraction(top, m)) == expected, inertia
+
+
 def test_integer_layer_matches_references_off_the_grid():
     # condition (a) fails: the first off-grid jump is the witness, and every
     # map that needs an admissible sequence reports the same refusal

@@ -428,6 +428,26 @@ def test_sweep_specs_pinned():
     assert digest == "e0097b64757b9280b31ec5cb597903cb161891b07c94f3afcec3b2620168097d"
 
 
+def test_random_draws_of_check_all_pinned():
+    # the 200 random towers of tower-oracle-sweep and the 50 (tower, target,
+    # scale) draws of deformation-random, replayed from their seeds: the
+    # memoized degree and residue tables leave every rng call as it was
+    rng = random.Random(20260810)
+    sweep = [random_tower_spec(rng).to_dict() for _ in range(200)]
+    digest = hashlib.sha256(json.dumps(sweep).encode()).hexdigest()
+    assert digest == "3fefc09d99101b2336934526ed5e1425bb56eb8e24681ee10ca31e651287e26f"
+    rng = random.Random(97130713)
+    draws = []
+    while len(draws) < 50:
+        spec = random_tower_spec(rng, max_degree=16, r_choices=(1, 2))
+        if spec.p not in (3, 5):
+            continue
+        target = checks.random_compatible_target(spec, rng)
+        draws.append([spec.to_dict(), target.to_strings(), rng.randint(1, spec.p - 1)])
+    digest = hashlib.sha256(json.dumps(draws).encode()).hexdigest()
+    assert digest == "33ddfe09038cee3e2bf51690885056c0ee8860d72a427add27058b7f0d6d5335"
+
+
 def test_sweep_fails_when_the_oracle_core_is_shifted(monkeypatch):
     # the suite compares the recurrence with the oracle: shifting the
     # oracle's answer on one sweep tower must fail it, naming that tower
