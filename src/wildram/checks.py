@@ -20,7 +20,6 @@ from .psl2 import DEFAULT_BUDGET, InertiaType, group_params, inertia_candidates,
 from .psl2 import select_triple, verify_subgroup_claims
 from .ramification import (
     JumpSequence,
-    admissible_numerators,
     base_sigma,
     compatible_targets,
     enumerate_admissible,
@@ -292,12 +291,10 @@ def check_tower_oracle_sweep() -> dict:
 
 def random_compatible_target(spec: TowerSpec, rng: random.Random) -> JumpSequence:
     inertia = inertia_type_of(spec)
-    base = predicted_jumps(spec)
-    bound = base[-1] + 8
-    n = admissible_numerators(inertia, base, "deformation_compatible")
-    options = compatible_targets(inertia, n, bound)
+    n = predicted_numerators(spec)  # admissible, as every valid tower's are
+    options = compatible_targets(inertia, n, Fraction(n[-1], inertia.m) + 8)
     if not options:
-        raise CheckFailure(f"no compatible targets above {base}")
+        raise CheckFailure(f"no compatible targets above {predicted_jumps(spec)}")
     return JumpSequence(tuple(Fraction(k, inertia.m) for k in rng.choice(options)))
 
 

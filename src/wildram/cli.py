@@ -73,13 +73,13 @@ def _inertia_from_args(args, r: int) -> InertiaType:
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (payload, rows, exit_code)
+# Handlers: each returns (payload, rows, exit_code); main adds the payload's
+# "command".  The CSV rows are a list already in the payload, or None.
 
 
 def _cmd_params(args):
     gp = group_params(args.p, args.ell)
     payload = {
-        "command": "params",
         "check": "group-invariants",
         "statement": "order = ell(ell^2 - 1)/2; a = v_p(ell^2 - 1); m_G = 2 when a >= 1",
         "p": gp.p,
@@ -94,7 +94,6 @@ def _cmd_params(args):
 def _cmd_triple(args):
     triple = select_triple(args.p, args.ell)
     payload = {
-        "command": "triple",
         "check": "class-triple",
         "statement": "three classes whose quotient-group orders have p-valuations (0, a-1, a)",
         "p": args.p,
@@ -102,23 +101,20 @@ def _cmd_triple(args):
         **triple.to_dict(),
         "vp_chain": [vp(e, args.p) for e in triple.psl2_indices],
     }
-    rows = [c.to_dict() for c in triple.classes]
-    return payload, rows, EXIT_OK
+    return payload, payload["classes"], EXIT_OK
 
 
 def _cmd_candidates(args):
     gp = group_params(args.p, args.ell)
-    cands = inertia_candidates(gp)
     payload = {
-        "command": "candidates",
         "check": "inertia-candidates",
         "statement": "cyclic Z/p^r and dihedral D_{p^r} for 1 <= r <= a",
         "p": args.p,
         "ell": args.ell,
         "a": gp.a,
-        "candidates": [c.to_dict() for c in cands],
+        "candidates": [c.to_dict() for c in inertia_candidates(gp)],
     }
-    return payload, [c.to_dict() for c in cands], EXIT_OK
+    return payload, payload["candidates"], EXIT_OK
 
 
 def _cmd_admissible(args):
@@ -126,7 +122,6 @@ def _cmd_admissible(args):
     inertia = _inertia_from_args(args, r=len(seq))
     verdict = is_admissible(inertia, seq)
     payload = {
-        "command": "admissible",
         "check": "admissibility-conditions-a-d",
         "statement": "jumps in (1/m)N; gcd(m, m u_1) = m/m_I; growth by p or prime-to-p; "
         "constant class mod m",
@@ -134,7 +129,7 @@ def _cmd_admissible(args):
         "jumps": seq.to_strings(),
         **verdict.to_dict(),
     }
-    return payload, verdict.to_dict()["conditions"], EXIT_OK
+    return payload, payload["conditions"], EXIT_OK
 
 
 def _enumeration_bound(inertia: InertiaType, bound) -> int:
@@ -157,7 +152,6 @@ def _cmd_enumerate(args):
     bound = parse_rational(args.bound)
     count_bound = _enumeration_bound(inertia, bound)
     payload = {
-        "command": "enumerate",
         "check": "admissible-enumeration",
         "statement": "all admissible sequences with u_r <= bound, lexicographic",
         "inertia": inertia.to_dict(),
@@ -174,7 +168,7 @@ def _cmd_enumerate(args):
     seqs = enumerate_admissible(inertia, bound)
     payload["count"] = len(seqs)
     payload["sequences"] = [s.to_strings() for s in seqs]
-    rows = [{"index": i, "jumps": ",".join(s.to_strings())} for i, s in enumerate(seqs)]
+    rows = [{"index": i, "jumps": ",".join(s)} for i, s in enumerate(payload["sequences"])]
     return payload, rows, EXIT_OK
 
 
@@ -183,7 +177,6 @@ def _cmd_genus(args):
     inertia = _inertia_from_args(args, r=args.r if args.r is not None else len(seq))
     result = genus(args.order, inertia, seq)
     payload = {
-        "command": "genus",
         "check": "genus-and-divisor-degree",
         "statement": "deg R = m p^r - 1 + (p-1) m sum(p^(i-1) u_i); "
         "genus = 1 - N + N deg(R)/(2 m p^r)",
@@ -199,7 +192,6 @@ def _cmd_base_sigma(args):
     inertia = _inertia_from_args(args, r=args.r)
     sigma = base_sigma(inertia, args.ell)
     payload = {
-        "command": "base-sigma",
         "check": "base-filtration",
         "statement": "(3/2) for D_p; (2) or (3) for Z/p depending on ell mod 8; otherwise unknown",
         "inertia": inertia.to_dict(),
@@ -213,7 +205,6 @@ def _cmd_tower_predict(args):
     spec = read_tower_spec(args.spec)
     verdict = validate_spec(spec)
     payload = {
-        "command": "tower-predict",
         "check": "tower-jump-recurrence",
         "statement": "u_1 = deg(x_1)/m; u_i = max(deg(x_i)/m, p u_{i-1})",
         "spec": spec.to_dict(),
@@ -232,7 +223,6 @@ def _cmd_tower_oracle(args):
     spec = read_tower_spec(args.spec)
     jumps = oracle_jumps(spec)
     payload = {
-        "command": "tower-oracle",
         "check": "tower-jump-oracle",
         "statement": "lower jumps from layerwise reduction, converted to upper numbering",
         "spec": spec.to_dict(),
@@ -256,7 +246,6 @@ def _cmd_deform(args):
     if args.out:
         write_tower_spec(verdict.deformed, args.out)
     payload = {
-        "command": "deform",
         "check": "jump-deformation",
         "statement": "add scale*x^(m u_i') to x_i when u_i' > p u_{i-1}' and u_i' > u_i",
         "spec": spec.to_dict(),
@@ -276,7 +265,6 @@ def _cmd_tails(args):
         sigma_bound=bound,
     )
     payload = {
-        "command": "tails",
         "check": "tail-configurations",
         "statement": "sum over new tails (sigma - 1) plus sum over primitive tails sigma = 1",
         "m_G": args.mG,
@@ -284,8 +272,8 @@ def _cmd_tails(args):
         "configurations": [c.to_dict() for c in configs],
     }
     rows = [
-        {"index": i, "tails": ";".join(f"{t['kind']}:{t['sigma']}" for t in c.to_dict())}
-        for i, c in enumerate(configs)
+        {"index": i, "tails": ";".join(f"{t['kind']}:{t['sigma']}" for t in c)}
+        for i, c in enumerate(payload["configurations"])
     ]
     return payload, rows, EXIT_OK
 
@@ -294,7 +282,6 @@ def _cmd_infer(args):
     sigma = parse_rational(args.sigma)
     inference = infer_inertia(sigma, args.p, args.mG)
     payload = {
-        "command": "infer",
         "check": "inertia-from-invariant",
         "statement": "r allowed when p^(r-1)/m_G <= sigma; integer sigma permits abelian inertia",
         "sigma": format_rational(sigma),
@@ -308,15 +295,13 @@ def _cmd_infer(args):
 def _cmd_verify_group(args):
     report = verify_subgroup_claims(args.p, args.ell, budget=args.budget)
     payload = {
-        "command": "verify-group",
         "check": "subgroup-claims",
         "statement": "dihedral existence, dihedral uniqueness among semidirect forms, "
         "quasi-p subgroups above a dihedral",
         **report.to_dict(),
     }
-    rows = [c.to_dict() for c in report.claims] if report.status == "checked" else None
     code = EXIT_OK if report.status == "refused" or report.all_passed else EXIT_CHECK_FAILED
-    return payload, rows, code
+    return payload, payload.get("claims"), code  # claims only when checked
 
 
 def _cmd_check_all(args):
@@ -325,7 +310,6 @@ def _cmd_check_all(args):
         print(f"{r.status:>4}  {r.check_id}  ({r.seconds:.2f}s)", file=sys.stderr)
     # timings go to stderr only, keeping the data stream deterministic
     payload = {
-        "command": "check-all",
         "check": "verification-suites",
         "statement": "every registered suite within its budget",
         "results": [r.to_dict() for r in results],
@@ -379,6 +363,57 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+# Every flag's settings, keyed by flag name.  Each subcommand lists its flags
+# in order, and _OVERRIDES names the settings where a subcommand differs.
+_FLAGS = {
+    "--format": dict(choices=("json", "csv", "plain"), default="json", help="output format"),
+    "--p": dict(type=int, required=True),
+    "--ell": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--mI": dict(type=int, default=None),
+    "--jumps": dict(required=True),
+    "--r": dict(type=int, default=None),
+    "--bound": dict(default=None),
+    "--order": dict(type=int, required=True),
+    "--spec": dict(required=True),
+    "--target": dict(required=True, help="target jumps, comma separated"),
+    "--scale": dict(type=int, default=1),
+    "--out": dict(default=None, help="write the deformed tower here"),
+    "--mG": dict(type=int, required=True),
+    "--prim": dict(type=int, required=True),
+    "--new-min": dict(type=int, default=0),
+    "--new-max": dict(type=int, default=None),
+    "--sigma": dict(required=True),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET),
+    "--budget-subgroup": dict(type=int, default=DEFAULT_BUDGET),
+}
+
+_SUBCOMMANDS = {
+    "params": "--p --ell",
+    "triple": "--p --ell",
+    "candidates": "--p --ell",
+    "admissible": "--p --m --mI --jumps",
+    "enumerate": "--p --m --mI --r --bound",
+    "genus": "--order --p --m --mI --r --jumps",
+    "base-sigma": "--p --ell --m --mI --r",
+    "tower-predict": "--spec",
+    "tower-oracle": "--spec",
+    "deform": "--spec --target --scale --out",
+    "tails": "--mG --prim --new-min --new-max --bound",
+    "infer": "--sigma --p --mG",
+    "verify-group": "--p --ell --budget",
+    "check-all": "--budget-subgroup",
+}
+
+_OVERRIDES = {
+    ("admissible", "--jumps"): dict(help="comma separated rationals, e.g. 3/2"),
+    ("enumerate", "--r"): dict(required=True),
+    ("enumerate", "--bound"): dict(required=True),
+    ("base-sigma", "--r"): dict(default=1),
+    ("tower-predict", "--spec"): dict(help="path to a tower file"),
+}
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  It records only the
@@ -387,99 +422,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wildram",
         description="exact computations for wildly ramified one-point covers",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "plain"), default="json", help="output format"
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, configure):
-        configure(sub.add_parser(name, parents=[common]))
-
-    add("params", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--ell", type=int, required=True),
-    ])
-    add("triple", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--ell", type=int, required=True),
-    ])
-    add("candidates", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--ell", type=int, required=True),
-    ])
-    add("admissible", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--m", type=int, required=True),
-        p.add_argument("--mI", type=int, default=None),
-        p.add_argument("--jumps", required=True, help="comma separated rationals, e.g. 3/2"),
-    ])
-    add("enumerate", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--m", type=int, required=True),
-        p.add_argument("--mI", type=int, default=None),
-        p.add_argument("--r", type=int, required=True),
-        p.add_argument("--bound", required=True),
-    ])
-    add("genus", lambda p: [
-        p.add_argument("--order", type=int, required=True),
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--m", type=int, required=True),
-        p.add_argument("--mI", type=int, default=None),
-        p.add_argument("--r", type=int, default=None),
-        p.add_argument("--jumps", required=True),
-    ])
-    add("base-sigma", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--ell", type=int, required=True),
-        p.add_argument("--m", type=int, required=True),
-        p.add_argument("--mI", type=int, default=None),
-        p.add_argument("--r", type=int, default=1),
-    ])
-    add("tower-predict", lambda p: [
-        p.add_argument("--spec", required=True, help="path to a tower file"),
-    ])
-    add("tower-oracle", lambda p: [
-        p.add_argument("--spec", required=True),
-    ])
-    add("deform", lambda p: [
-        p.add_argument("--spec", required=True),
-        p.add_argument("--target", required=True, help="target jumps, comma separated"),
-        p.add_argument("--scale", type=int, default=1),
-        p.add_argument("--out", default=None, help="write the deformed tower here"),
-    ])
-    add("tails", lambda p: [
-        p.add_argument("--mG", type=int, required=True),
-        p.add_argument("--prim", type=int, required=True),
-        p.add_argument("--new-min", type=int, default=0),
-        p.add_argument("--new-max", type=int, default=None),
-        p.add_argument("--bound", default=None),
-    ])
-    add("infer", lambda p: [
-        p.add_argument("--sigma", required=True),
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--mG", type=int, required=True),
-    ])
-    add("verify-group", lambda p: [
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--ell", type=int, required=True),
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET),
-    ])
-    add("check-all", lambda p: [
-        p.add_argument("--budget-subgroup", type=int, default=DEFAULT_BUDGET),
-    ])
+    for name, flags in _SUBCOMMANDS.items():
+        command = sub.add_parser(name)
+        for flag in ["--format", *flags.split()]:
+            command.add_argument(flag, **{**_FLAGS[flag], **_OVERRIDES.get((name, flag), {})})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
         payload, rows, code = handler(args)
+        payload["command"] = args.subcommand
         text = render(payload, rows, args.format)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

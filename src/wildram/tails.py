@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 from .exactmath import format_rational, prime_factors, require_odd_prime, vp
@@ -90,41 +90,32 @@ def solve_tail_configs(
     step = Fraction(1, m_G)
     cap = Fraction(sigma_bound) if sigma_bound is not None else Fraction(2)
     new_hi = m_G if n_new_max is None else min(n_new_max, m_G)
+    new_vals = []
+    v = 1 + step
+    while v <= cap and v - 1 <= 1:
+        new_vals.append(v)
+        v += step
+    prim_vals = []
+    v = step
+    while v <= cap and v <= 1:
+        prim_vals.append(v)
+        v += step
     out = []
     for n_new in range(n_new_min, new_hi + 1):
         if n_prim + n_new > m_G:
             continue  # each term >= 1/m_G, so more tails cannot sum to 1
         # nondecreasing choices per kind avoid duplicate multisets
-        new_vals = []
-        v = 1 + step
-        while v <= cap and v - 1 <= 1:
-            new_vals.append(v)
-            v += step
-        prim_vals = []
-        v = step
-        while v <= cap and v <= 1:
-            prim_vals.append(v)
-            v += step
-        for news in _nondecreasing(new_vals, n_new):
+        for news in combinations_with_replacement(new_vals, n_new):
             partial = sum((s - 1 for s in news), Fraction(0))
             if partial > 1:
                 continue
-            for prims in _nondecreasing(prim_vals, n_prim):
+            for prims in combinations_with_replacement(prim_vals, n_prim):
                 if partial + sum(prims, Fraction(0)) == 1:
                     tails = tuple(TailDatum("new", s) for s in news) + tuple(
                         TailDatum("primitive", s) for s in prims
                     )
                     out.append(TailConfig(m_G=m_G, tails=tails))
     return sorted(out, key=lambda c: [(t.kind, t.sigma) for t in c.tails])
-
-
-def _nondecreasing(values, count):
-    if count == 0:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        for rest in _nondecreasing(values[i:], count - 1):
-            yield (v,) + rest
 
 
 @dataclass(frozen=True)

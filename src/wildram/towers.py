@@ -42,7 +42,6 @@ from .exactmath import FpPolynomial, as_reduce_with_witness, mul_coeffs, require
 from .psl2 import InertiaType
 from .ramification import (
     JumpSequence,
-    admissible_numerators,
     compatible_numerators,
     upper_numerators,
 )
@@ -310,12 +309,11 @@ def deform(t: TowerSpec, target: JumpSequence, scale: int = 1) -> TowerSpec:
     dominates deg(x_i), so any nonzero scale realizes the target.  A
     monomial that would pass TOWER_SIZE_LIMIT is refused before it is
     built, so every deformed tower reads back from its file."""
-    base = predicted_jumps(t)
+    n_base = predicted_numerators(t)  # admissible, as every valid tower's are
     inertia = inertia_type_of(t)
-    n_base = admissible_numerators(inertia, base, "deformation_compatible")
     n_target = compatible_numerators(inertia, n_base, target)  # m u_i', integers
     if n_target is None:
-        raise ValueError(f"target {target} is not deformation-compatible with {base}")
+        raise ValueError(f"target {target} is not deformation-compatible with {predicted_jumps(t)}")
     scale = scale % t.p
     if scale == 0:
         raise ValueError("scale must be nonzero in F_p")

@@ -1,5 +1,6 @@
 """Command line behavior: payloads, exit codes, determinism, formats."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
@@ -457,6 +458,85 @@ def test_help_still_exits_0(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.startswith("usage: wildram")
+
+
+_FORMAT = ("--format", None, "json", False, "output format")
+_INT, _OPTIONAL_INT = (int, None, True, None), (int, None, False, None)
+
+# (flag, type, default, required, help) of every subcommand, in order
+SUBCOMMAND_FLAGS = {
+    "params": [_FORMAT, ("--p", *_INT), ("--ell", *_INT)],
+    "triple": [_FORMAT, ("--p", *_INT), ("--ell", *_INT)],
+    "candidates": [_FORMAT, ("--p", *_INT), ("--ell", *_INT)],
+    "admissible": [
+        _FORMAT, ("--p", *_INT), ("--m", *_INT), ("--mI", *_OPTIONAL_INT),
+        ("--jumps", None, None, True, "comma separated rationals, e.g. 3/2"),
+    ],
+    "enumerate": [
+        _FORMAT, ("--p", *_INT), ("--m", *_INT), ("--mI", *_OPTIONAL_INT), ("--r", *_INT),
+        ("--bound", None, None, True, None),
+    ],
+    "genus": [
+        _FORMAT, ("--order", *_INT), ("--p", *_INT), ("--m", *_INT), ("--mI", *_OPTIONAL_INT),
+        ("--r", *_OPTIONAL_INT), ("--jumps", None, None, True, None),
+    ],
+    "base-sigma": [
+        _FORMAT, ("--p", *_INT), ("--ell", *_INT), ("--m", *_INT), ("--mI", *_OPTIONAL_INT),
+        ("--r", int, 1, False, None),
+    ],
+    "tower-predict": [_FORMAT, ("--spec", None, None, True, "path to a tower file")],
+    "tower-oracle": [_FORMAT, ("--spec", None, None, True, None)],
+    "deform": [
+        _FORMAT, ("--spec", None, None, True, None),
+        ("--target", None, None, True, "target jumps, comma separated"),
+        ("--scale", int, 1, False, None),
+        ("--out", None, None, False, "write the deformed tower here"),
+    ],
+    "tails": [
+        _FORMAT, ("--mG", *_INT), ("--prim", *_INT), ("--new-min", int, 0, False, None),
+        ("--new-max", *_OPTIONAL_INT), ("--bound", None, None, False, None),
+    ],
+    "infer": [_FORMAT, ("--sigma", None, None, True, None), ("--p", *_INT), ("--mG", *_INT)],
+    "verify-group": [_FORMAT, ("--p", *_INT), ("--ell", *_INT), ("--budget", int, 2000, False, None)],
+    "check-all": [_FORMAT, ("--budget-subgroup", int, 2000, False, None)],
+}
+
+
+def test_every_subcommand_flag_is_pinned():
+    # the flags' order sets the usage line and the "required" error line
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(SUBCOMMAND_FLAGS)
+    for name, command in subparsers.choices.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        flags = [(*a.option_strings, a.type, a.default, a.required, a.help) for a in actions]
+        assert flags == SUBCOMMAND_FLAGS[name], name
+        assert actions[0].choices == ("json", "csv", "plain"), name
+
+
+def test_every_payload_names_its_subcommand(tmp_path, capsys):
+    tower = tmp_path / "tower.txt"
+    tower.write_text("7 2 1 1\n0 0 0 1\n", encoding="ascii")
+    requests = [
+        ("params", "--p", "7", "--ell", "13"),
+        ("triple", "--p", "3", "--ell", "17"),
+        ("candidates", "--p", "3", "--ell", "17"),
+        ("admissible", "--p", "7", "--m", "2", "--jumps", "3/2"),
+        ("enumerate", "--p", "3", "--m", "2", "--r", "2", "--bound", "6"),
+        ("genus", "--order", "1092", "--p", "7", "--m", "2", "--jumps", "3/2"),
+        ("base-sigma", "--p", "7", "--ell", "13", "--m", "2"),
+        ("tower-predict", "--spec", str(tower)),
+        ("tower-oracle", "--spec", str(tower)),
+        ("deform", "--spec", str(tower), "--target", "5/2", "--out", str(tmp_path / "out.txt")),
+        ("tails", "--mG", "2", "--prim", "1"),
+        ("infer", "--sigma", "3/2", "--p", "3", "--mG", "2"),
+        ("verify-group", "--p", "3", "--ell", "97"),
+        ("check-all", "--budget-subgroup", "1"),
+    ]
+    assert [argv[0] for argv in requests] == list(SUBCOMMAND_FLAGS)
+    for argv in requests:
+        code, payload = run_json(capsys, *argv)
+        assert (code, payload["command"]) == (0, argv[0])
 
 
 def test_each_tower_is_validated_once(tmp_path, capsys, monkeypatch):

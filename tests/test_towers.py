@@ -23,7 +23,7 @@ from wildram.checks import (
 )
 from wildram.exactmath import FpPolynomial
 from wildram.psl2 import InertiaType
-from wildram.ramification import JumpSequence, is_admissible
+from wildram.ramification import JumpSequence, admissible_numerators, is_admissible
 from wildram.towers import (
     TowerSpec,
     deform,
@@ -471,11 +471,16 @@ def test_sweep_fails_when_the_oracle_core_is_shifted(monkeypatch):
 
 
 def test_predicted_jumps_admissible_for_induced_inertia():
+    # deform and random_compatible_target take a valid tower's recurrence
+    # numerators as admissible without testing them: (b) from n_1 = j mod m,
+    # (c) since each n_i is p n_{i-1} or a degree prime to p, (d) since
+    # m_I | p - 1 makes p j = j mod m
     rng = random.Random(19)
-    for _ in range(80):
-        spec = random_tower_spec(rng, max_degree=25)
-        jumps = predicted_jumps(spec)
-        assert is_admissible(inertia_type_of(spec), jumps).admissible
+    specs = sweep_tower_specs() + [random_tower_spec(rng, max_degree=25) for _ in range(200)]
+    for spec in specs:
+        inertia, n, jumps = inertia_type_of(spec), predicted_numerators(spec), predicted_jumps(spec)
+        assert is_admissible(inertia, jumps).admissible, spec.to_dict()
+        assert admissible_numerators(inertia, jumps, "deform") == n
 
 
 def test_deform_worked_examples():
