@@ -21,9 +21,12 @@ representative per conjugacy class of cyclic subgroups and <y> one
 representative per orbit of the normalizer N(<x>) on the cyclic subgroups;
 as <x, y> = <y, x>, the class of <y> can be taken to come no earlier than
 that of <x>.  Only those pairs are closed; each new closure brings its
-whole conjugacy class.  A listed subgroup is its sorted ids and the
-number of its conjugacy class (``class_number`` on the record), so
-questions invariant under conjugation are asked once per class; it carries
+whole conjugacy class.  The search records each class as it walks it, its
+first member and its length, and keeps one dict of every subgroup's ids:
+questions invariant under conjugation read that class table
+(``subgroup_classes``), and the sorted list (``subgroups``) is built from
+the dict only when asked.  A listed subgroup is its sorted ids and the
+number of its conjugacy class (``class_number`` on the record); it carries
 no generators.  The first pair of cyclic subgroups that generates it, which
 a walk over all pairs would have met first, is searched only when asked for
 (``_first_generating_pair``).
@@ -90,6 +93,8 @@ class FiniteGroup:
         self.identity_id = identity_id
         self._whole_ids = tuple(range(n))
         self._walk_cyclic_subgroups()
+        self._classes = None  # the class table, once the search has run
+        self._found = None  # the search's dict of ids, until subgroups() lists it
         self._subgroups = None
         self._conjugation_maps = None
 
@@ -193,61 +198,100 @@ class FiniteGroup:
         ordered by (size, ids)."""
         return self._cyclic
 
+    def subgroup_classes(self) -> list[tuple[Subgroup, int]]:
+        """The conjugacy classes of subgroups(), numbered in list order, as
+        (first member, length): the class table the search records as it
+        walks each class, read without the list being built.  The first
+        members are the records subgroups() lists."""
+        if self._classes is None:
+            self._search()
+        return self._classes
+
     def subgroups(self) -> list[Subgroup]:
         """Every closure of a one- or two-element generating set, deduplicated,
         ordered by (size, ids), each with its conjugacy class: classes are
         numbered 0, 1, ... by their first member in this list.
+
+        Built from the search's dict of ids when first asked (_search),
+        which it then replaces; the first member of each class is the
+        record of subgroup_classes().  The records carry no generators;
+        _first_generating_pair finds the first pair of cyclic subgroups that
+        generates one, for a subgroup that is printed.
+        """
+        if self._subgroups is None:
+            self.subgroup_classes()
+            found, firsts = self._found
+            order = sorted(found)
+            order.sort(key=len)  # stable, so (size, ids) order
+            subs = []
+            for ids in order:
+                sub = firsts[found[ids]]  # the first member of its class
+                if sub.ids != ids:
+                    sub = Subgroup(ids, class_number=sub.class_number)
+                subs.append(sub)
+            self._subgroups = subs
+            self._found = None
+        return self._subgroups
+
+    def _search(self):
+        """The subgroup search up to conjugacy: ``_found``, the pair (dict of
+        every subgroup's ids -> its class label, first-member record of each
+        label), and ``_classes``, the class table of subgroup_classes().
 
         <g, h> depends only on (<g>, <h>), <g, h> = <h, g>, and
         conjugating the pair conjugates the closure, so only pairs (class
         representative <x>, N(<x>)-orbit representative <y>) with <y> in
         the class of <x> or a later one are closed, and each new closure is
         added with its conjugacy class.  The walk that finds the class of
-        <x> also gives N(<x>) (_class_walk).  The records carry no
-        generators; _first_generating_pair finds the first pair of cyclic
-        subgroups that generates one, for a subgroup that is printed.
+        <x> also gives N(<x>) (_class_walk).  Each class is recorded as it
+        is walked, with its length and its first member in (size, ids)
+        order: the least position of a cyclic class, and the least ids of
+        any other, as its members share one size.
         """
-        if self._subgroups is None:
-            n, cyclic = self.n, self.cyclic_subgroups()
-            conjugators = self._conjugators()
-            cyclic_of = self._cyclic_of
-            # each conjugation as a map over the positions in cyclic
-            maps = [
-                (g, [cyclic_of[conj[c.generators[0]]] for c in cyclic]) for g, conj in conjugators
-            ]
-            # ids -> class label, labelled as the search meets each class
-            found = {self._whole_ids: 0}
-            classes = []  # (positions, Schreier generators) of each class walk
-            seen = bytearray(len(cyclic))
-            for start in range(len(cyclic)):
-                if not seen[start]:
-                    positions, schreier = self._class_walk(start, maps, list.__getitem__)
-                    classes.append((positions, schreier))
-                    for c in positions:
-                        seen[c] = 1
-                        found.setdefault(cyclic[c].ids, len(classes))
-            label = len(classes)
-            lower = bytearray(len(cyclic))  # the positions of the classes done
-            for positions, schreier in classes:
-                first = cyclic[positions[0]]
-                if 1 < first.size < n:  # as in the certificate, see _extensions
-                    normalizer = self._generating_set(n // len(positions), schreier)
-                    for ids in self._extensions(first.ids, first.generators, normalizer, lower):
-                        # a whole closure is the whole group, found already
-                        if len(ids) < n and ids not in found:
-                            label += 1
-                            for image in self._class_walk(ids, conjugators, _conjugate)[0]:
-                                found[image] = label
+        n, cyclic = self.n, self.cyclic_subgroups()
+        conjugators = self._conjugators()
+        cyclic_of = self._cyclic_of
+        # each conjugation as a map over the positions in cyclic
+        maps = [
+            (g, [cyclic_of[conj[c.generators[0]]] for c in cyclic]) for g, conj in conjugators
+        ]
+        # ids -> class label, labelled as the search meets each class
+        found = {self._whole_ids: 0}
+        table = [(self._whole_ids, 1)]  # class label -> (first member's ids, length)
+        classes = []  # (positions, Schreier generators) of each class walk
+        seen = bytearray(len(cyclic))
+        for start in range(len(cyclic)):
+            if not seen[start]:
+                positions, schreier = self._class_walk(start, maps, list.__getitem__)
+                classes.append((positions, schreier))
                 for c in positions:
-                    lower[c] = 1
-            order = sorted(found)
-            order.sort(key=len)  # stable, so (size, ids) order
-            number: dict[int, int] = {}  # class label -> class number, in list order
-            self._subgroups = [
-                Subgroup(ids, class_number=number.setdefault(found[ids], len(number)))
-                for ids in order
-            ]
-        return self._subgroups
+                    seen[c] = 1
+                # start is the least position in its class; only the whole
+                # group, alone in its class, can have been found already
+                if cyclic[start].ids not in found:
+                    for c in positions:
+                        found[cyclic[c].ids] = len(table)
+                    table.append((cyclic[start].ids, len(positions)))
+        lower = bytearray(len(cyclic))  # the positions of the classes done
+        for positions, schreier in classes:
+            first = cyclic[positions[0]]
+            if 1 < first.size < n:  # as in the certificate, see _extensions
+                normalizer = self._generating_set(n // len(positions), schreier)
+                for ids in self._extensions(first.ids, first.generators, normalizer, lower):
+                    # a whole closure is the whole group, found already
+                    if len(ids) < n and ids not in found:
+                        members = self._class_walk(ids, conjugators, _conjugate)[0]
+                        for image in members:
+                            found[image] = len(table)
+                        table.append((min(members), len(members)))
+            for c in positions:
+                lower[c] = 1
+        order = sorted(range(len(table)), key=lambda k: (len(table[k][0]), table[k][0]))
+        firsts = [None] * len(table)
+        for number, label in enumerate(order):
+            firsts[label] = Subgroup(table[label][0], class_number=number)
+        self._found = found, firsts
+        self._classes = [(firsts[label], table[label][1]) for label in order]
 
     # -- conjugation, used by the subgroup search and its certificate
 
@@ -268,7 +312,9 @@ class FiniteGroup:
         one not yet in the closure of those kept is kept.  Each kept one at
         least doubles the closure, so there are at most log2 |K|; the walk
         stops once the closure has ``order`` elements, so the candidates
-        after the last generator are never read.  Three callers: the whole
+        after the last generator are never read; for the whole group it
+        stops once _proves_whole proves the kept ones generate it, before
+        their closure is searched.  Three callers: the whole
         group (_conjugators), a listed subgroup from its sorted ids, and
         N(R), of order n / |class| (orbit-stabilizer), from the Schreier
         generators of R's class walk (_class_walk).  RuntimeError if the
@@ -281,6 +327,8 @@ class FiniteGroup:
                 break
             if g not in reached:
                 gens.append(g)
+                if order == self.n and self._proves_whole(gens):
+                    return gens
                 reached = set(self.closure_ids(gens))
         if len(reached) != order:
             raise RuntimeError(

@@ -16,11 +16,12 @@ The subgroup search (groups.FiniteGroup, multiplying PSL2 matrices as it
 needs the products) finds, for groups of order within a budget, every
 subgroup generated by at most two elements.  It closes one pair of cyclic
 subgroups per conjugacy class of such pairs and adds each closure's
-conjugates, which gives the same list as closing every pair, and the
-subgroup claims are answered from that complete list by walking the class
-representatives, the first member of each conjugacy class of subgroups,
-since every question they ask is invariant under conjugation ("above a
-D_p": an element of order p and an involution inverting it).  A
+conjugates, which gives the same list as closing every pair.  The
+subgroup claims read the class table the search records as it goes, the
+first member of each conjugacy class of subgroups and its length, and
+never build the list, since every question they ask is invariant under
+conjugation ("above a D_p": an element of order p and an involution
+inverting it).  A
 closure that reaches the whole group is proven whole from its generators'
 action on the projective line P^1(F_l), instead of being searched: one
 breadth-first pass over P^1 gives the orbit of infinity and the Schreier
@@ -33,7 +34,6 @@ order of PSL2(F_43).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
@@ -569,11 +569,12 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
           is the whole group.
 
     Size and being abelian, of the form Z/p x| Z/m, quasi-p, or above a D_p
-    do not change under conjugation, so the claims walk the class
-    representatives only: the first member in list order of each conjugacy
-    class that subgroups() records as ``class_number``, each predicate asked
-    at most once per class.  Claim (i) counts a dihedral class by its
-    length.  A class's first member precedes its other members, so the
+    do not change under conjugation, so the claims read the search's class
+    table (FiniteGroup.subgroup_classes), not the list of every subgroup:
+    the first member in list order of each conjugacy class and its length,
+    each predicate asked at most once per class.  Claim (i) counts a
+    dihedral class by its length, and the subgroup count is the sum of the
+    lengths.  A class's first member precedes its other members, so the
     first witness of each claim, and the first counterexample of (ii) and
     (iii), is that of a walk over every subgroup.
 
@@ -595,22 +596,20 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
             reason=f"group order {gp.order} exceeds {limit}; claims not checked",
         )
     atlas = psl2_atlas(ell)
-    subs = atlas.subgroups()
+    classes = atlas.subgroup_classes()  # (first member, length), in list order
+    reps = [s for s, _ in classes]
     two_p = 2 * p
-    firsts: dict[int, Subgroup] = {}  # class number -> first member, in list order
-    length: Counter[int] = Counter()  # class number -> members
-    for s in subs:
-        firsts.setdefault(s.class_number, s)
-        length[s.class_number] += 1
-    reps = firsts.values()
 
     def claim(claim_id: str, holds: bool, summary: str, witness: Subgroup | None):
         printed = None if witness is None else _subgroup_witness(atlas, witness)
         return ClaimResult(claim_id, "pass" if holds else "fail", summary, printed)
 
-    dihedrals = [s for s in reps if s.size == two_p and not atlas.is_abelian_subgroup(s)]
-    count = sum(length[s.class_number] for s in dihedrals)
-    found = dihedrals[0] if dihedrals else None
+    dihedrals = [
+        (s, length) for s, length in classes
+        if s.size == two_p and not atlas.is_abelian_subgroup(s)
+    ]
+    count = sum(length for _, length in dihedrals)
+    found = dihedrals[0][0] if dihedrals else None
     claim1 = claim(
         "dihedral-exists",
         found is not None,
@@ -651,5 +650,5 @@ def verify_subgroup_claims(p: int, ell: int, budget: int = DEFAULT_BUDGET) -> Su
         budget=budget,
         status="checked",
         claims=(claim1, claim2, claim3),
-        subgroup_count=len(subs),
+        subgroup_count=sum(length for _, length in classes),
     )

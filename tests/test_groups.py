@@ -449,6 +449,25 @@ def test_recorded_classes_are_the_conjugacy_classes(kind, args):
         assert sorted(s.ids for s in members) == sorted(expected), members[0]
 
 
+@pytest.mark.parametrize("kind,args", CLASS_GROUPS)
+def test_class_table_is_the_listed_classes(kind, args):
+    # the table the search records, read before the list is built, against
+    # the classes of subgroups(): the count, each class's first member in
+    # list order as the same record, and each class's length
+    g = Psl2Atlas(*args) if kind == "psl2" else build(kind, args)
+    table = g.subgroup_classes()
+    assert g._subgroups is None
+    subs = g.subgroups()
+    assert g._found is None  # the list replaces the search's dict
+    classes = _classes(g)
+    assert sum(length for _, length in table) == len(subs)
+    assert len(table) == len(classes)
+    for (first, length), members in zip(table, classes.values()):
+        assert first is members[0], first.ids
+        assert length == len(members), first.ids
+    assert g.subgroup_classes() is table
+
+
 @pytest.mark.parametrize("kind,args", [("psl2", (7,))] + SHAPES)
 def test_conjugacy_class_matches_conjugation_by_every_element(kind, args):
     # the closure under a generating set's maps against g H g^-1 for every g

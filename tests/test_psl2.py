@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from wildram.exactmath import is_prime, least_nonresidue, prime_factors, vp
+from wildram.groups import Subgroup
 from wildram.psl2 import (
     ORDER_LIMIT,
     ClassTriple,
@@ -238,7 +239,7 @@ def test_subgroup_claims_7_13():
     ]
 
 
-@pytest.mark.parametrize("p,ell,budget", [(3, 11, 13424), (7, 13, 16506)])
+@pytest.mark.parametrize("p,ell,budget", [(3, 11, 12797), (7, 13, 15638)])
 def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
     # a work budget with no timing noise: the group products of a cold run,
     # atlas build included, counted at every product kernel of Psl2Atlas:
@@ -261,6 +262,28 @@ def test_subgroup_claims_product_budget(p, ell, budget, monkeypatch):
     finally:
         psl2_atlas.cache_clear()
     assert count[0] <= budget
+
+
+@pytest.mark.parametrize("p,ell,records", [(3, 11, 244 + 16), (7, 13, 366 + 16)])
+def test_subgroup_claims_record_budget(p, ell, records, monkeypatch):
+    # the claims read the search's class table, so a cold run builds one
+    # record per cyclic subgroup and one per class, not one per subgroup
+    built = [0]
+    init = Subgroup.__init__
+
+    def counted(sub, *args, **kwargs):
+        built[0] += 1
+        init(sub, *args, **kwargs)
+
+    psl2_atlas.cache_clear()
+    monkeypatch.setattr(Subgroup, "__init__", counted)
+    try:
+        assert verify_subgroup_claims(p, ell).status == "checked"
+        atlas = psl2_atlas(ell)
+        assert len(atlas.cyclic_subgroups()) + len(atlas.subgroup_classes()) == records
+    finally:
+        psl2_atlas.cache_clear()
+    assert built[0] <= records
 
 
 @pytest.mark.parametrize("p,ell", [(3, 11), (7, 13)])
