@@ -25,10 +25,11 @@ from .ramification import (
     enumerate_admissible,
     genus,
     is_admissible,
-    lower_from_upper,
+    lower_numerators,
     tame_base_change,
     unmet_conditions,
     upper_from_lower,
+    upper_numerators,
 )
 from .tails import SmallGroup, branch_cycle_feasible, generation_obstruction, solve_tail_configs
 from .towers import (
@@ -38,6 +39,7 @@ from .towers import (
     oracle_numerators,
     predicted_jumps,
     predicted_numerators,
+    validate_spec,
     verify_deformation,
 )
 
@@ -170,29 +172,25 @@ def random_inertia(rng: random.Random) -> InertiaType:
         return InertiaType(p=p, r=rng.randint(1, 3), m=m, m_I=rng.choice(divisors))
 
 
-def random_admissible(inertia: InertiaType, rng: random.Random) -> JumpSequence:
+def random_admissible_numerators(inertia: InertiaType, rng: random.Random) -> list[int]:
+    """Numerators n_i = m u_i of a random admissible sequence: n_1 <= 30 m
+    prime to p with gcd(m, n_1) = m / m_I, then each n_i is p n_{i-1} with
+    probability 0.4, else a uniform choice among the n prime to p with
+    n = n_1 (mod m) in (p n_{i-1}, p n_{i-1} + 4 m p]."""
     p, m, m_I = inertia.p, inertia.m, inertia.m_I
     while True:
         n1 = rng.randint(1, 30 * m)
-        if n1 % p == 0 or gcd(m, n1) != m // m_I:
+        if n1 % p and gcd(m, n1) == m // m_I:
+            break
+    ns = [n1]
+    for _ in range(inertia.r - 1):
+        grown = p * ns[-1]
+        if rng.random() < 0.4:
+            ns.append(grown)
             continue
-        ns = [n1]
-        for _ in range(inertia.r - 1):
-            prev = ns[-1]
-            if rng.random() < 0.4:
-                ns.append(p * prev)
-                continue
-            candidates = [
-                n
-                for n in range(p * prev + 1, p * prev + 4 * m * p + 1)
-                if n % p != 0 and n % m == n1 % m
-            ]
-            ns.append(rng.choice(candidates))
-        seq = JumpSequence(tuple(Fraction(n, m) for n in ns))
-        verdict = is_admissible(inertia, seq)
-        if not verdict.admissible:
-            raise CheckFailure(f"random generator produced inadmissible {seq}: {verdict.failed}")
-        return seq
+        first = grown + 1 + (n1 - grown - 1) % m  # the least n > grown in the class
+        ns.append(rng.choice([n for n in range(first, grown + 4 * m * p + 1, m) if n % p]))
+    return ns
 
 
 def naive_admissible_filter(inertia: InertiaType, bound) -> list[JumpSequence]:
@@ -289,12 +287,14 @@ def check_tower_oracle_sweep() -> dict:
     return {"sweep_specs": len(specs), "random_specs": randomized}
 
 
-def random_compatible_target(spec: TowerSpec, rng: random.Random) -> JumpSequence:
+def random_compatible_target(spec: TowerSpec, rng: random.Random, verdict=None) -> JumpSequence:
+    """A target drawn from every compatible one up to u_r + 8 (verdict as in
+    towers.predicted_numerators)."""
     inertia = inertia_type_of(spec)
-    n = predicted_numerators(spec)  # admissible, as every valid tower's are
+    n = predicted_numerators(spec, verdict)  # admissible, as every valid tower's are
     options = compatible_targets(inertia, n, Fraction(n[-1], inertia.m) + 8)
     if not options:
-        raise CheckFailure(f"no compatible targets above {predicted_jumps(spec)}")
+        raise CheckFailure(f"no compatible targets above {predicted_jumps(spec, verdict)}")
     return JumpSequence(tuple(Fraction(k, inertia.m) for k in rng.choice(options)))
 
 
@@ -305,9 +305,10 @@ def check_deformation_random() -> dict:
         spec = random_tower_spec(rng, max_degree=16, r_choices=(1, 2))
         if spec.p not in (3, 5):
             continue
-        target = random_compatible_target(spec, rng)
+        valid = validate_spec(spec)  # once for the draw and the deformation
+        target = random_compatible_target(spec, rng, valid)
         scale = rng.randint(1, spec.p - 1)
-        verdict = verify_deformation(spec, target, scale)
+        verdict = verify_deformation(spec, target, scale, valid)
         if not verdict.ok:
             raise CheckFailure(
                 f"deformation failed on {spec.to_dict()} -> {target}: {verdict.message}"
@@ -419,17 +420,26 @@ def check_enumeration_complete() -> dict:
 
 
 def check_herbrand_roundtrip() -> dict:
+    """The Herbrand maps invert each other on 200 random admissible
+    sequences, on the integers: upper_numerators(lower_numerators(n)) is
+    n_i p^(r-1), the same upper jumps over m p^(r-1).  Jump sequences are
+    built only for the message of a failure."""
     rng = random.Random(441100)
     for _ in range(200):
         inertia = random_inertia(rng)
-        upper = random_admissible(inertia, rng)
-        lower = lower_from_upper(inertia, upper)
-        for h in lower:
-            if not (h.denominator == 1 and h > 0):
-                raise CheckFailure(f"non-integral lower jump {h}")
-        back = upper_from_lower(inertia, list(lower))
-        if back != upper:
-            raise CheckFailure(f"round trip failed: {upper} -> {lower} -> {back}")
+        n = random_admissible_numerators(inertia, rng)
+        unmet = unmet_conditions(inertia, n)
+        if unmet:
+            upper = JumpSequence(tuple(Fraction(x, inertia.m) for x in n))
+            raise CheckFailure(f"random generator produced inadmissible {upper}: {unmet[0][0]}")
+        lower = lower_numerators(inertia, n)
+        scale = inertia.p ** (inertia.r - 1)
+        if upper_numerators(inertia, lower) != [x * scale for x in n]:
+            upper = JumpSequence(tuple(Fraction(x, inertia.m) for x in n))
+            back = upper_from_lower(inertia, lower)
+            raise CheckFailure(
+                f"round trip failed: {upper} -> {JumpSequence(tuple(lower))} -> {back}"
+            )
     return {"filtrations": 200}
 
 

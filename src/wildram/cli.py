@@ -307,8 +307,9 @@ def _cmd_verify_group(args):
 def _cmd_check_all(args):
     results = [run_check(spec) for spec in registry(args.budget_subgroup)]
     for r in results:
-        print(f"{r.status:>4}  {r.check_id}  ({r.seconds:.2f}s)", file=sys.stderr)
-    # timings go to stderr only, keeping the data stream deterministic
+        over = f"  over budget ({r.budget_seconds:g} s)" if r.seconds > r.budget_seconds else ""
+        print(f"{r.status:>4}  {r.check_id}  ({r.seconds:.2f}s){over}", file=sys.stderr)
+    # timings and overruns go to stderr only, keeping the data stream deterministic
     payload = {
         "check": "verification-suites",
         "statement": "every registered suite within its budget",

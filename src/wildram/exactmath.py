@@ -52,12 +52,21 @@ def is_prime(n: int) -> bool:
 PRIME_LIMIT = 10**12
 
 
+@lru_cache(maxsize=256)
+def _prime_verdict(n: int) -> bool:
+    """is_prime(n), trial division run once per distinct n: every tower
+    and every layer polynomial asks again about the same few p (a tower
+    sweep builds thousands of values over three primes).  A verdict is a
+    boolean of n alone, and at most 256 are kept."""
+    return is_prime(n)
+
+
 def require_odd_prime(n: int, name: str):
     """Raise ValueError, naming the parameter, unless n is an odd prime
     no larger than PRIME_LIMIT; a larger n is refused before it is tested."""
     if n > PRIME_LIMIT:
         raise ValueError(f"{name} = {n} exceeds the prime limit {PRIME_LIMIT}")
-    if not is_prime(n) or n == 2:
+    if n == 2 or not _prime_verdict(n):
         raise ValueError(f"{name} = {n} must be an odd prime")
 
 
@@ -163,7 +172,7 @@ class FpPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if not _prime_verdict(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
         c = [x % self.p for x in self.coeffs]
         if c and not c[-1]:  # cut the trailing zeros off in one slice

@@ -10,7 +10,9 @@ enumerates admissible sequences exactly.  Conditions (a)-(d), the Herbrand
 maps and the divisor degree are evaluated on the integers n_i = m u_i: the
 numerator step decides (a), and one integer core, unmet_conditions, decides
 (b)-(d) for every caller.  is_admissible wraps the two and builds condition
-results and witness texts; the other callers ask the core only.
+results and witness texts; the other callers ask the core only.  The
+Herbrand maps have integer cores too, upper_numerators and
+lower_numerators, which upper_from_lower and lower_from_upper wrap.
 
 Enumeration is one walk over those integers, testing (a)-(d) at each step.
 Floored by the numerators of an admissible base, the same walk visits only
@@ -329,17 +331,27 @@ def upper_from_lower(inertia: InertiaType, lower) -> JumpSequence:
     return JumpSequence(tuple([Fraction(u, scale) for u in upper]))
 
 
-def lower_from_upper(inertia: InertiaType, seq: JumpSequence) -> JumpSequence:
-    """Exact inverse of upper_from_lower; input must be admissible.
-
-    h_1 = n_1 and h_i = h_{i-1} + p^(i-1) (n_i - n_{i-1}) with n_i = m u_i.
-    """
-    n = admissible_numerators(inertia, seq, "lower_from_upper")
+def lower_numerators(inertia: InertiaType, n) -> list[int]:
+    """The inverse Herbrand map on the numerators n_i = m u_i of an
+    admissible sequence, which the caller has checked (admissible_numerators
+    or unmet_conditions): the lower jumps h_1 = n_1 and
+    h_i = h_{i-1} + p^(i-1) (n_i - n_{i-1}), positive integers, with
+    upper_numerators(inertia, h) = [n_i p^(r-1)]."""
     p = inertia.p
-    out = [n[0]]
+    acc, scale = n[0], 1
+    out = [acc]
     for i in range(1, len(n)):
-        out.append(out[-1] + p**i * (n[i] - n[i - 1]))
-    return JumpSequence(tuple(out))
+        scale *= p
+        acc += scale * (n[i] - n[i - 1])
+        out.append(acc)
+    return out
+
+
+def lower_from_upper(inertia: InertiaType, seq: JumpSequence) -> JumpSequence:
+    """Exact inverse of upper_from_lower; input must be admissible: the
+    lower jumps of lower_numerators as a sequence of integers."""
+    n = admissible_numerators(inertia, seq, "lower_from_upper")
+    return JumpSequence(tuple(lower_numerators(inertia, n)))
 
 
 def tame_base_change(

@@ -58,14 +58,16 @@ class TowerSpec:
     residue_class: int
 
     def __post_init__(self):
-        require_odd_prime(self.p, "p")
-        if self.m < 1 or gcd(self.m, self.p) != 1:
-            raise ValueError(f"m = {self.m} must be positive and prime to p")
+        p, m = self.p, self.m
+        require_odd_prime(p, "p")  # trial division once per distinct p
+        if m < 1 or gcd(m, p) != 1:
+            raise ValueError(f"m = {m} must be positive and prime to p")
         if self.r < 1 or len(self.x_polys) != self.r:
             raise ValueError(f"need exactly r = {self.r} layer polynomials")
-        if any(poly.p != self.p for poly in self.x_polys):
-            raise ValueError("layer polynomials must live over F_p")
-        object.__setattr__(self, "residue_class", self.residue_class % self.m)
+        for poly in self.x_polys:
+            if poly.p != p:
+                raise ValueError("layer polynomials must live over F_p")
+        object.__setattr__(self, "residue_class", self.residue_class % m)
 
     def to_dict(self) -> dict:
         return {
@@ -303,17 +305,22 @@ def oracle_jumps(t: TowerSpec) -> JumpSequence:
 # Deformation
 
 
-def deform(t: TowerSpec, target: JumpSequence, scale: int = 1) -> TowerSpec:
+def deform(
+    t: TowerSpec, target: JumpSequence, scale: int = 1, verdict: SpecVerdict | None = None
+) -> TowerSpec:
     """Add scale * x^(m u_i') to x_i whenever u_i' > p u_{i-1}' and
     u_i' > u_i; other layers are untouched.  The added monomial strictly
     dominates deg(x_i), so any nonzero scale realizes the target.  A
     monomial that would pass TOWER_SIZE_LIMIT is refused before it is
-    built, so every deformed tower reads back from its file."""
-    n_base = predicted_numerators(t)  # admissible, as every valid tower's are
+    built, so every deformed tower reads back from its file.  verdict is
+    validate_spec(t) when the caller holds it (see predicted_numerators)."""
+    n_base = predicted_numerators(t, verdict)  # admissible, as every valid tower's are
     inertia = inertia_type_of(t)
     n_target = compatible_numerators(inertia, n_base, target)  # m u_i', integers
     if n_target is None:
-        raise ValueError(f"target {target} is not deformation-compatible with {predicted_jumps(t)}")
+        raise ValueError(
+            f"target {target} is not deformation-compatible with {predicted_jumps(t, verdict)}"
+        )
     scale = scale % t.p
     if scale == 0:
         raise ValueError("scale must be nonzero in F_p")
@@ -356,9 +363,12 @@ class DeformationVerdict:
         }
 
 
-def verify_deformation(t: TowerSpec, target: JumpSequence, scale: int = 1) -> DeformationVerdict:
-    """Deform and confirm both routes report exactly the target jumps."""
-    deformed = deform(t, target, scale)
+def verify_deformation(
+    t: TowerSpec, target: JumpSequence, scale: int = 1, verdict: SpecVerdict | None = None
+) -> DeformationVerdict:
+    """Deform and confirm both routes report exactly the target jumps
+    (verdict as in deform)."""
+    deformed = deform(t, target, scale, verdict)
     predicted = predicted_jumps(deformed, _VALID)  # deform refuses an invalid result
     oracle = oracle_jumps(deformed) if oracle_supported(deformed) else None
     ok = predicted == target and (oracle is None or oracle == target)

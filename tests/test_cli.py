@@ -4,13 +4,14 @@ import argparse
 import json
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from wildram import cli, towers
+from wildram import checks, cli, towers
 from wildram.cli import main
 from wildram.exactmath import PRIME_LIMIT
 from wildram.psl2 import InertiaType
@@ -614,8 +615,33 @@ def test_verify_group_matches_its_golden_report(capsys, p, ell, budget, code):
 def test_check_all_matches_its_golden_stream(capsys):
     # the whole data stream byte for byte; the seconds go to stderr only
     golden = (GOLDEN / "check-all.json").read_text(encoding="ascii")
-    code, out, _ = run(capsys, "check-all", "--format", "json")
+    code, out, err = run(capsys, "check-all", "--format", "json")
     assert (code, out) == (0, golden)
+    assert "over budget" not in err
+
+
+def test_check_all_flags_an_overrun_on_stderr_only(capsys, monkeypatch):
+    # a clock that moves 7 s between the two readings of each suite: a
+    # suite whose budget is below 7 s says so on its stderr line; stdout
+    # and the exit code stay those of the golden
+    golden = (GOLDEN / "check-all.json").read_text(encoding="ascii")
+    ticks = count(step=7)
+    monkeypatch.setattr(checks, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    code, out, err = run(capsys, "check-all", "--format", "json")
+    assert (code, out) == (0, golden)
+    expected = []
+    for spec in checks.registry():
+        line = f"pass  {spec.check_id}  (7.00s)"
+        if spec.budget_seconds < 7:
+            line += f"  over budget ({spec.budget_seconds} s)"
+        expected.append(line)
+    assert err.splitlines() == expected
+    assert [line.split()[1] for line in expected if "over budget" in line] == [
+        "admissible-base-filtrations",
+        "tail-config-unique",
+        "herbrand-roundtrip",
+        "generation-obstructions",
+    ]
 
 
 def test_internal_fault_is_reported_not_raised(capsys, monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildram import checks
-from wildram.checks import naive_admissible_filter, random_admissible, random_inertia
+from wildram import checks, towers
+from wildram.checks import naive_admissible_filter, random_admissible_numerators, random_inertia
 from wildram.exactmath import format_rational
 from wildram.psl2 import InertiaType, group_params, inertia_candidates
 from wildram.ramification import (
@@ -27,8 +27,11 @@ from wildram.ramification import (
     genus,
     is_admissible,
     lower_from_upper,
+    lower_numerators,
     tame_base_change,
+    unmet_conditions,
     upper_from_lower,
+    upper_numerators,
 )
 from wildram.towers import inertia_type_of, predicted_jumps
 
@@ -155,13 +158,54 @@ def test_herbrand_input_validation():
         lower_from_upper(Z7, seq(7))
 
 
+def random_admissible(inertia: InertiaType, rng: random.Random) -> JumpSequence:
+    """The Fraction draw that herbrand-roundtrip made before it ran on the
+    integers: the reference for checks.random_admissible_numerators, whose
+    rng calls must be these."""
+    p, m, m_I = inertia.p, inertia.m, inertia.m_I
+    while True:
+        n1 = rng.randint(1, 30 * m)
+        if n1 % p == 0 or gcd(m, n1) != m // m_I:
+            continue
+        ns = [n1]
+        for _ in range(inertia.r - 1):
+            prev = ns[-1]
+            if rng.random() < 0.4:
+                ns.append(p * prev)
+                continue
+            candidates = [
+                n
+                for n in range(p * prev + 1, p * prev + 4 * m * p + 1)
+                if n % p != 0 and n % m == n1 % m
+            ]
+            ns.append(rng.choice(candidates))
+        seq = JumpSequence(tuple(Fraction(n, m) for n in ns))
+        assert is_admissible(inertia, seq).admissible, seq
+        return seq
+
+
 def test_herbrand_round_trips_randomized():
+    # the Fraction round trip through the JumpSequence wrappers;
+    # herbrand-roundtrip runs the integer cores
     rng = random.Random(20260810)
     for _ in range(100):
         inertia = random_inertia(rng)
         upper = random_admissible(inertia, rng)
         lower = lower_from_upper(inertia, upper)
         assert upper_from_lower(inertia, list(lower)) == upper
+
+
+@pytest.mark.parametrize("seed", [441100, 20260810])
+def test_integer_draw_replays_the_fraction_draw(seed):
+    # 441100 is herbrand-roundtrip's seed: its 200 (inertia, numerators)
+    # pairs are those of the Fraction draw, m u_i read off each sequence
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        inertia = random_inertia(new)
+        numerators = random_admissible_numerators(inertia, new)
+        assert random_inertia(old) == inertia
+        assert numerators == [inertia.m * u for u in random_admissible(inertia, old)]
+    assert new.getstate() == old.getstate()
 
 
 def test_tame_base_change_worked_examples():
@@ -477,6 +521,36 @@ def test_integer_layer_matches_references_off_the_grid():
     assert is_admissible(D7, seq(Fraction(1, 3))).conditions[0].witness == "m*u = 2/3"
 
 
+def test_integer_herbrand_cores_on_every_small_admissible_sequence():
+    # every admissible sequence with u_r <= 12 of every shape p in
+    # {3, 5, 7, 11}, m <= 6, r <= 4: the integer round trip, and
+    # lower_from_upper as lower_numerators over a JumpSequence; every grid
+    # tuple that fails (b)-(d), and one off the grid per shape, is refused
+    # with the reference's text
+    shapes = admissible = refused = 0
+    for inertia in small_inertia_types(primes=(3, 5, 7, 11), max_r=4):
+        p, m, r = inertia.p, inertia.m, inertia.r
+        shapes += 1
+        for s in enumerate_admissible(inertia, 12):
+            n = [m * u for u in s]
+            lower = lower_numerators(inertia, n)
+            assert upper_numerators(inertia, lower) == [x * p ** (r - 1) for x in n]
+            assert lower_from_upper(inertia, s) == JumpSequence(tuple(lower))
+            assert outcome(lower_from_upper, inertia, s) == outcome(
+                reference_lower_from_upper, inertia, s
+            )
+            admissible += 1
+        grid = [ns for ns in combinations(range(1, 10), r) if unmet_conditions(inertia, ns)]
+        off = (Fraction(1, m + 1),) + tuple(Fraction(k) for k in range(1, r))
+        for s in [JumpSequence(tuple(Fraction(x, m) for x in ns)) for ns in grid] + [
+            JumpSequence(off)
+        ]:
+            got = outcome(lower_from_upper, inertia, s)
+            assert got[0] == "ValueError" and got == outcome(reference_lower_from_upper, inertia, s)
+            refused += 1
+    assert (shapes, admissible, refused) == (148, 875, 9430)
+
+
 def test_upper_from_lower_matches_reference_on_invalid_lower_jumps():
     for lower in ([3, 3], [0, 5], [-1, 4], [7, 8], [Fraction(1, 2), 2], [2], [5, 2], [1, 2, 3]):
         assert outcome(upper_from_lower, Z49, lower) == outcome(
@@ -571,18 +645,18 @@ def test_deformation_random_draws_the_targets_of_the_filter(monkeypatch):
     # the check-all golden reports only {"pairs": 50}, so a changed target
     # would not show there; the 50 (spec, target, scale) triples of the
     # suite's seed are pinned against the filter's draws instead
-    def filtered_random_target(spec, rng):
+    def filtered_random_target(spec, rng, verdict=None):
         inertia = inertia_type_of(spec)
-        base = predicted_jumps(spec)
+        base = predicted_jumps(spec, verdict)
         return rng.choice(filtered_targets(inertia, base, base[-1] + 8))
 
     def draws():
         seen = []
         real = checks.verify_deformation
 
-        def record(spec, target, scale):
+        def record(spec, target, scale, verdict=None):
             seen.append((spec.to_dict(), target, scale))
-            return real(spec, target, scale)
+            return real(spec, target, scale, verdict)
 
         with monkeypatch.context() as patch:
             patch.setattr(checks, "verify_deformation", record)
@@ -593,3 +667,20 @@ def test_deformation_random_draws_the_targets_of_the_filter(monkeypatch):
     monkeypatch.setattr(checks, "random_compatible_target", filtered_random_target)
     assert walked == draws()
     assert len(walked) == 50
+
+
+def test_deformation_random_validates_each_tower_once(monkeypatch):
+    # each base tower once, its verdict passed to the draw and to deform,
+    # and each deformed tower once: 100 calls for the 50 pairs (150 when
+    # the draw and deform validated the base each)
+    calls = []
+    real = towers.validate_spec
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(towers, "validate_spec", counted)
+    monkeypatch.setattr(checks, "validate_spec", counted)
+    assert checks.check_deformation_random() == {"pairs": 50}
+    assert len(calls) == 100

@@ -66,6 +66,75 @@ def test_validate_worked_examples():
     assert "zero polynomial" in validate_spec(empty).violations[0]
 
 
+@pytest.mark.parametrize(
+    "p,m,r,layers,message",
+    [
+        (1, 1, 1, 1, "p = 1 must be an odd prime"),
+        (2, 1, 1, 1, "p = 2 must be an odd prime"),
+        (4, 1, 1, 1, "p = 4 must be an odd prime"),
+        (9, 1, 1, 1, "p = 9 must be an odd prime"),
+        (
+            exactmath.PRIME_LIMIT + 2,
+            1,
+            1,
+            1,
+            "p = 1000000000002 exceeds the prime limit 1000000000000",
+        ),
+        (3, 3, 1, 1, "m = 3 must be positive and prime to p"),
+        (3, 0, 1, 1, "m = 0 must be positive and prime to p"),
+        (3, 1, 2, 1, "need exactly r = 2 layer polynomials"),
+        (3, 1, 0, 0, "need exactly r = 0 layer polynomials"),
+    ],
+    ids=["p1", "p2", "p4", "p9", "p-past-the-limit", "m-shares-p", "m0", "r-not-layers", "r0"],
+)
+def test_tower_spec_refusals(p, m, r, layers, message):
+    x_polys = (FpPolynomial.monomial(3, 1, 2),) * layers
+    with pytest.raises(ValueError) as refused:
+        TowerSpec(p=p, m=m, r=r, x_polys=x_polys, residue_class=0)
+    assert str(refused.value) == message
+    # each refusal stands whether the verdict on p is memoized or fresh
+    exactmath._prime_verdict.cache_clear()
+    with pytest.raises(ValueError) as again:
+        TowerSpec(p=p, m=m, r=r, x_polys=x_polys, residue_class=0)
+    assert str(again.value) == message
+
+
+def test_tower_spec_refuses_a_layer_over_another_field():
+    layers = (FpPolynomial.monomial(5, 1, 2), FpPolynomial.monomial(3, 1, 7))
+    with pytest.raises(ValueError) as refused:
+        TowerSpec(p=5, m=1, r=2, x_polys=layers, residue_class=0)
+    assert str(refused.value) == "layer polynomials must live over F_p"
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 15])
+def test_polynomial_over_a_composite_characteristic_is_refused(p):
+    exactmath._prime_verdict.cache_clear()
+    for _ in range(2):  # fresh, then memoized
+        with pytest.raises(ValueError) as refused:
+            FpPolynomial(p, (1, 1))
+        assert str(refused.value) == f"characteristic {p} is not prime"
+
+
+def test_tower_sweep_runs_trial_division_once_per_prime(monkeypatch):
+    # the sweep builds 1422 towers and their layers over p in {3, 5, 7};
+    # each distinct p is trial-divided once (2035 calls when every
+    # TowerSpec and FpPolynomial tested its p afresh)
+    calls = []
+    real = exactmath.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    exactmath._prime_verdict.cache_clear()
+    monkeypatch.setattr(exactmath, "is_prime", counted)
+    check_tower_oracle_sweep()
+    assert sorted(calls) == [3, 5, 7]
+    calls.clear()
+    check_tower_oracle_sweep()
+    assert calls == []
+
+
 def test_validate_action_order():
     # class 1 mod 3 would need an order-3 action, but 3 does not divide 5 - 1
     bad = TowerSpec(p=5, m=3, r=1, x_polys=(FpPolynomial.monomial(5, 1, 1),), residue_class=1)
