@@ -17,6 +17,8 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,8 +58,10 @@ PRIME_LIMIT = 10**12
 def _prime_verdict(n: int) -> bool:
     """is_prime(n), trial division run once per distinct n: every tower
     and every layer polynomial asks again about the same few p (a tower
-    sweep builds thousands of values over three primes).  A verdict is a
-    boolean of n alone, and at most 256 are kept."""
+    sweep builds thousands of values over three primes), and vp,
+    least_nonresidue and psl2's class_order ask again about a p or ell
+    already required.  A verdict is a boolean of n alone, and at most 256
+    are kept."""
     return is_prime(n)
 
 
@@ -89,7 +93,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 def vp(n: int, p: int) -> int:
     """Exact exponent of the prime p in the nonzero integer n."""
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or not _prime_verdict(p):
         raise ValueError(f"p = {p} is not prime")
     if n == 0:
         raise ValueError("the p-adic valuation of 0 is undefined")
@@ -126,7 +130,7 @@ def format_rational(q: Fraction | int) -> str:
 @lru_cache(maxsize=None)
 def least_nonresidue(p: int) -> int:
     """Smallest quadratic nonresidue modulo an odd prime p."""
-    if not is_prime(p) or p == 2:
+    if not _prime_verdict(p) or p == 2:
         raise ValueError(f"least_nonresidue needs an odd prime, got {p}")
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) == p - 1:
@@ -138,6 +142,24 @@ def _pack(coeffs, w: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
 
+# Kronecker slots read as machine integers: an exact slot width of 1 to 8
+# bytes -> (lane width, array typecode), the narrowest unsigned lane of 1, 2,
+# 4 or 8 bytes that holds it.  Typecodes are picked by itemsize, since the
+# sizes of the letters vary by platform; lanes are little-endian on any host.
+_LANES = {
+    w: min((array(code).itemsize, code) for code in "BHILQ" if array(code).itemsize >= w)
+    for w in range(1, 9)
+}
+_SWAP = sys.byteorder == "big"
+
+
+def _pack_lanes(coeffs, code: str) -> int:
+    lanes = array(code, coeffs)
+    if _SWAP:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
 def mul_coeffs(a, b, modulus: int) -> list[int]:
     """Product of two coefficient sequences (low degree first, entries in
     [0, modulus)), reduced mod modulus; [] when either is empty.
@@ -147,16 +169,28 @@ def mul_coeffs(a, b, modulus: int) -> list[int]:
     Karatsuba, or its squaring when b is a), and the slots of the product
     are read back.  An exact product coefficient is at most
     min(len a, len b) (modulus - 1)^2, so w bytes that hold this bound keep
-    the slots from overlapping.
+    the slots from overlapping, and so does any wider slot.  Up to 8 bytes
+    the slot is widened to a machine lane and packed and read by ``array``
+    in C; wider slots, from moduli near PRIME_LIMIT, go byte by byte.
     """
     if not a or not b:
         return []
     w = ((min(len(a), len(b)) * (modulus - 1) ** 2).bit_length() + 7) // 8
-    big_a = _pack(a, w)
-    big_b = big_a if b is a else _pack(b, w)
-    n = (len(a) + len(b) - 1) * w
-    data = (big_a * big_b).to_bytes(n, "little")
-    return [int.from_bytes(data[i : i + w], "little") % modulus for i in range(0, n, w)]
+    n = len(a) + len(b) - 1
+    lane = _LANES.get(w)
+    if lane is None:
+        big_a = _pack(a, w)
+        big_b = big_a if b is a else _pack(b, w)
+        data = (big_a * big_b).to_bytes(n * w, "little")
+        return [int.from_bytes(data[i : i + w], "little") % modulus for i in range(0, n * w, w)]
+    w, code = lane
+    big_a = _pack_lanes(a, code)
+    big_b = big_a if b is a else _pack_lanes(b, code)
+    out = array(code)
+    out.frombytes((big_a * big_b).to_bytes(n * w, "little"))
+    if _SWAP:
+        out.byteswap()
+    return [c % modulus for c in out]
 
 
 @dataclass(frozen=True)

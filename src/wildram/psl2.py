@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactmath import is_prime, least_nonresidue, prime_factors, require_odd_prime, vp
+from .exactmath import _prime_verdict, least_nonresidue, prime_factors, require_odd_prime, vp
 from .groups import ORDER_LIMIT, FiniteGroup, Subgroup, check_order
 
 # the largest group order verify_subgroup_claims certifies unless asked for more
@@ -245,7 +245,7 @@ def class_order(ell: int, cls: ConjClass, p: int) -> tuple[int, int]:
     v_p(order) = max(0, v_p(l -+ 1) - v_p(i)).
     """
     require_odd_prime(ell, "ell")
-    if not is_prime(p):
+    if not _prime_verdict(p):
         raise ValueError(f"p = {p} is not prime")
     cls.check_bounds(ell)
     t = cls.torus_order(ell)

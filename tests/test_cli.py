@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from wildram import checks, cli, towers
+from wildram import checks, cli, exactmath, towers
 from wildram.cli import main
 from wildram.exactmath import PRIME_LIMIT
 from wildram.psl2 import InertiaType
@@ -198,6 +198,24 @@ def test_largest_prime_under_the_limit_is_still_served(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0 and params["order"] == ell * (ell * ell - 1) // 2
     assert report["status"] == "refused" and "exceeds budget 2000" in report["reason"]
+
+
+@pytest.mark.parametrize("subcommand, code", [("params", 0), ("triple", 2), ("candidates", 0)])
+def test_group_commands_run_trial_division_once_per_prime(capsys, monkeypatch, subcommand, code):
+    # p and ell are each trial-divided once, whichever helper asks (4 calls
+    # when vp tested p afresh on each of v_p(ell - 1) and v_p(ell + 1))
+    calls = []
+    real = exactmath.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    exactmath._prime_verdict.cache_clear()
+    monkeypatch.setattr(exactmath, "is_prime", counted)
+    # triple refuses, since p divides neither ell - 1 nor ell + 1
+    assert run(capsys, subcommand, "--p", "999999999989", "--ell", "1000003")[0] == code
+    assert sorted(calls) == [1000003, 999999999989]
 
 
 def test_enumeration_bound_holds_and_admits_every_small_request():

@@ -2,12 +2,14 @@
 
 import random
 import time
+from array import array
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from wildram.exactmath import (
+    _LANES,
     FpPolynomial,
     NEG_INFINITY,
     as_reduce,
@@ -99,7 +101,19 @@ def schoolbook(a, b, modulus):
     return out
 
 
-@pytest.mark.parametrize("modulus", [2, 3, 13, 169, 257, 10007, 2**31 - 1])
+def slot_bytes(shortest, modulus):
+    """Bytes of the exact slot bound, min(len a, len b) (modulus - 1)^2."""
+    return ((shortest * (modulus - 1) ** 2).bit_length() + 7) // 8
+
+
+# 16^k: at one coefficient the bound (16^k - 1)^2 fills k bytes to the top
+# bit, and at 4 or more it needs k + 1, so each lane width (1, 2, 4, 8) is
+# met at its upper edge, 3 rounds up to 4, 5 to 7 up to 8, and 9 and past
+# take the byte path; 999999999989 is the largest prime below PRIME_LIMIT
+MUL_MODULI = [2, 3, 13, 169, 257, 10007, 2**31 - 1] + [16**k for k in range(1, 10)] + [999999999989]
+
+
+@pytest.mark.parametrize("modulus", MUL_MODULI)
 def test_mul_coeffs_matches_schoolbook(modulus):
     # 257 and 10007 need two bytes per coefficient, 2^31 - 1 four, and its
     # product slots eight or nine
@@ -116,6 +130,21 @@ def test_mul_coeffs_matches_schoolbook(modulus):
             assert mul_coeffs(a, b, modulus) == schoolbook(a, b, modulus)
             assert mul_coeffs(a, a, modulus) == schoolbook(a, a, modulus)
             assert mul_coeffs(tuple(a), tuple(b), modulus) == schoolbook(a, b, modulus)
+
+
+def test_mul_coeffs_moduli_reach_every_lane_edge():
+    # 1, 4, 7 and 120 are the shorter sides of the schoolbook test's shapes
+    widths = {slot_bytes(k, m) for m in MUL_MODULI for k in (1, 4, 7, 120)}
+    assert set(range(1, 10)) <= widths and max(widths) > 9
+    for k in range(1, 9):  # a bound of 8k bits: the top bit of a k-byte slot
+        assert ((16**k - 1) ** 2).bit_length() == 8 * k
+    # each exact width reads through the narrowest lane that holds it, and
+    # each lane's typecode has that lane's item size
+    assert {w: lane for w, (lane, _) in _LANES.items()} == {
+        1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8,
+    }
+    for lane, code in _LANES.values():
+        assert array(code).itemsize == lane
 
 
 @pytest.mark.parametrize("p", [3, 13, 257, 10007])
