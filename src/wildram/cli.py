@@ -41,7 +41,6 @@ from .towers import (
     oracle_supported,
     predicted_jumps,
     read_tower_spec,
-    validate_spec,
     verify_deformation,
     write_tower_spec,
 )
@@ -203,15 +202,14 @@ def _cmd_base_sigma(args):
 
 def _cmd_tower_predict(args):
     spec = read_tower_spec(args.spec)
-    verdict = validate_spec(spec)
     payload = {
         "check": "tower-jump-recurrence",
         "statement": "u_1 = deg(x_1)/m; u_i = max(deg(x_i)/m, p u_{i-1})",
         "spec": spec.to_dict(),
-        **verdict.to_dict(),
+        **spec.verdict.to_dict(),
     }
-    if verdict.valid:
-        payload["jumps"] = predicted_jumps(spec, verdict).to_strings()
+    if spec.verdict.valid:
+        payload["jumps"] = predicted_jumps(spec).to_strings()
         payload["inertia"] = inertia_type_of(spec).to_dict()
         payload["oracle_supported"] = oracle_supported(spec)
         if not oracle_supported(spec):
@@ -229,9 +227,8 @@ def _cmd_tower_oracle(args):
         "jumps": jumps.to_strings(),
     }
     code = EXIT_OK
-    verdict = validate_spec(spec)
-    if verdict.valid:
-        predicted = predicted_jumps(spec, verdict)
+    if spec.verdict.valid:
+        predicted = predicted_jumps(spec)
         payload["agrees_with_recurrence"] = predicted == jumps
         if predicted != jumps:
             payload["recurrence_jumps"] = predicted.to_strings()

@@ -9,7 +9,9 @@ package needs on top of that:
 * univariate polynomials over F_p as exact coefficient tuples, multiplied
   by Kronecker substitution (``mul_coeffs``),
 * Artin-Schreier reduction of such polynomials, i.e. rewriting modulo the
-  image of w -> w^p - w until every positive term degree is prime to p.
+  image of w -> w^p - w until every positive term degree is prime to p,
+* the least unit of a given multiplicative order mod p^r, which fixes
+  the primitive roots of psl2 and the tame actions of tails.
 
 All values are immutable and all functions are pure.
 """
@@ -22,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 from operator import not_
 
 NEG_INFINITY = float("-inf")
@@ -136,6 +138,24 @@ def least_nonresidue(p: int) -> int:
         if pow(n, (p - 1) // 2, p) == p - 1:
             return n
     raise RuntimeError(f"no nonresidue found mod {p}")  # unreachable for odd p
+
+
+def smallest_unit_of_order(q: int, p: int, order: int) -> int:
+    """The least unit mod q = p^r (p prime) of the given multiplicative order."""
+    if order == 1:
+        return 1
+    euler = q // p * (p - 1)
+    factors = prime_factors(euler)
+    for u in range(2, q):
+        if u % p == 0:
+            continue
+        k = euler
+        for f in factors:
+            while k % f == 0 and pow(u, k // f, q) == 1:
+                k //= f
+        if k == order:
+            return u
+    raise ValueError(f"no unit of order {order} mod {q}")
 
 
 def _pack(coeffs, w: int) -> int:
@@ -260,13 +280,11 @@ class FpPolynomial:
 
     def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
         self._check_same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return FpPolynomial(self.p, tuple((x + y) % self.p for x, y in zip(a, b)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return FpPolynomial(self.p, tuple([x + y for x, y in pairs]))  # reduced by the constructor
 
     def __neg__(self) -> "FpPolynomial":
-        return FpPolynomial(self.p, tuple(-x % self.p for x in self.coeffs))
+        return FpPolynomial(self.p, tuple([-x for x in self.coeffs]))  # as in __add__
 
     def __sub__(self, other: "FpPolynomial") -> "FpPolynomial":
         return self + (-other)

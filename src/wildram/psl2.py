@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactmath import _prime_verdict, least_nonresidue, prime_factors, require_odd_prime, vp
+from .exactmath import _prime_verdict, least_nonresidue, require_odd_prime, vp
+from .exactmath import smallest_unit_of_order
 from .groups import ORDER_LIMIT, FiniteGroup, Subgroup, check_order
 
 # the largest group order verify_subgroup_claims certifies unless asked for more
@@ -161,12 +162,7 @@ class ConjClass:
 def primitive_root(ell: int) -> int:
     """Smallest generator of the multiplicative group mod ell."""
     require_odd_prime(ell, "ell")
-    n = ell - 1
-    qs = prime_factors(n)
-    for g in range(2, ell):
-        if all(pow(g, n // q, ell) != 1 for q in qs):
-            return g
-    raise RuntimeError(f"no primitive root mod {ell}")  # unreachable
+    return smallest_unit_of_order(ell, ell, ell - 1)
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd
 from operator import ge
 
-from .exactmath import format_rational, parse_rational, vp
+from .exactmath import format_rational, parse_rational
 from .psl2 import InertiaType, group_params, inertia_candidates
 
 

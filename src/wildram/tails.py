@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
 
-from .exactmath import format_rational, prime_factors, require_odd_prime, vp
+from .exactmath import format_rational, require_odd_prime, smallest_unit_of_order, vp
 from .groups import FiniteGroup, check_order
 
 SEARCH_LIMIT = 2_000_000
@@ -208,24 +208,7 @@ class SmallGroup(FiniteGroup):
             raise ValueError(f"m_I = {m_I} must divide gcd(m, p - 1)")
         q = p**r
         check_order(q * m)  # before the unit search, which scans up to q
-        return cls(q, m, _smallest_unit_of_order(q, p, m_I))
-
-
-def _smallest_unit_of_order(q: int, p: int, m_I: int) -> int:
-    if m_I == 1:
-        return 1
-    euler = q // p * (p - 1)
-    factors = prime_factors(euler)
-    for u in range(2, q):
-        if u % p == 0:
-            continue
-        order = euler
-        for f in factors:
-            while order % f == 0 and pow(u, order // f, q) == 1:
-                order //= f
-        if order == m_I:
-            return u
-    raise ValueError(f"no unit of order {m_I} mod {q}")
+        return cls(q, m, smallest_unit_of_order(q, p, m_I))
 
 
 def generation_obstruction(r: int, m: int, vp_gen: int, p: int) -> bool:

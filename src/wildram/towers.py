@@ -18,12 +18,13 @@ reduction removes them; the residue class is derived from the reduced
 data.
 
 Both routes run on integers.  predicted_numerators returns the
-numerators n_i = m u_i once validate_spec has accepted the tower (an
-invalid one is refused with its first violation).  oracle_numerators
-returns the numerators m p^(r-1) u_i of the Herbrand map, from
-ramification.upper_numerators.  predicted_jumps and oracle_jumps wrap
-them, putting each numerator over its denominator in a JumpSequence, and
-the tower-oracle sweep of check-all compares the integers directly.
+numerators n_i = m u_i once the tower's verdict (validate_spec, computed
+once and kept on the tower) accepts it; an invalid tower is refused with
+its first violation.  oracle_numerators returns the numerators
+m p^(r-1) u_i of the Herbrand map, from ramification.upper_numerators.
+predicted_jumps and oracle_jumps wrap them, putting each numerator over
+its denominator in a JumpSequence, and the tower-oracle sweep of
+check-all compares the integers directly.
 
 Deformation raises a tower's jumps to a compatible target sequence by
 adding one monomial scale * x^(m u_i') to x_i exactly when
@@ -57,6 +58,8 @@ class TowerSpec:
     x_polys: tuple[FpPolynomial, ...]
     residue_class: int
 
+    _verdict = None  # not a field: the memo behind verdict
+
     def __post_init__(self):
         p, m = self.p, self.m
         require_odd_prime(p, "p")  # trial division once per distinct p
@@ -68,6 +71,15 @@ class TowerSpec:
             if poly.p != p:
                 raise ValueError("layer polynomials must live over F_p")
         object.__setattr__(self, "residue_class", self.residue_class % m)
+
+    @property
+    def verdict(self) -> "SpecVerdict":
+        """validate_spec(self), computed the first time it is asked for."""
+        verdict = self._verdict
+        if verdict is None:
+            verdict = validate_spec(self)
+            object.__setattr__(self, "_verdict", verdict)
+        return verdict
 
     def to_dict(self) -> dict:
         return {
@@ -142,15 +154,12 @@ def inertia_type_of(t: TowerSpec) -> InertiaType:
     return _inertia_type(t.p, t.r, t.m, t.m // gcd(t.m, t.residue_class))
 
 
-def predicted_numerators(t: TowerSpec, verdict: SpecVerdict | None = None) -> list[int]:
+def predicted_numerators(t: TowerSpec) -> list[int]:
     """The jump recurrence on the integers n_i = m u_i: n_1 = deg(x_1) and
     n_i = max(deg(x_i), p n_{i-1}), where a zero layer (degree -1 here)
     contributes only the p n_{i-1} branch.  An invalid tower raises
-    ValueError naming its first violation (validate_spec).  A caller that
-    already holds validate_spec(t) passes it as verdict, so that each tower
-    is validated once."""
-    if verdict is None:
-        verdict = validate_spec(t)
+    ValueError naming its first violation (t.verdict)."""
+    verdict = t.verdict
     if not verdict.valid:
         raise ValueError(f"invalid tower: {verdict.violations[0]}")
     p = t.p
@@ -160,10 +169,10 @@ def predicted_numerators(t: TowerSpec, verdict: SpecVerdict | None = None) -> li
     return n
 
 
-def predicted_jumps(t: TowerSpec, verdict: SpecVerdict | None = None) -> JumpSequence:
+def predicted_jumps(t: TowerSpec) -> JumpSequence:
     """u_1 = deg(x_1)/m, u_i = max(deg(x_i)/m, p u_{i-1}): the
-    numerators of predicted_numerators (verdict as there) over m."""
-    return JumpSequence(tuple([Fraction(n, t.m) for n in predicted_numerators(t, verdict)]))
+    numerators of predicted_numerators over m."""
+    return JumpSequence(tuple([Fraction(n, t.m) for n in predicted_numerators(t)]))
 
 
 def oracle_supported(t: TowerSpec) -> bool:
@@ -305,21 +314,18 @@ def oracle_jumps(t: TowerSpec) -> JumpSequence:
 # Deformation
 
 
-def deform(
-    t: TowerSpec, target: JumpSequence, scale: int = 1, verdict: SpecVerdict | None = None
-) -> TowerSpec:
+def deform(t: TowerSpec, target: JumpSequence, scale: int = 1) -> TowerSpec:
     """Add scale * x^(m u_i') to x_i whenever u_i' > p u_{i-1}' and
     u_i' > u_i; other layers are untouched.  The added monomial strictly
     dominates deg(x_i), so any nonzero scale realizes the target.  A
     monomial that would pass TOWER_SIZE_LIMIT is refused before it is
-    built, so every deformed tower reads back from its file.  verdict is
-    validate_spec(t) when the caller holds it (see predicted_numerators)."""
-    n_base = predicted_numerators(t, verdict)  # admissible, as every valid tower's are
+    built, so every deformed tower reads back from its file."""
+    n_base = predicted_numerators(t)  # admissible, as every valid tower's are
     inertia = inertia_type_of(t)
     n_target = compatible_numerators(inertia, n_base, target)  # m u_i', integers
     if n_target is None:
         raise ValueError(
-            f"target {target} is not deformation-compatible with {predicted_jumps(t, verdict)}"
+            f"target {target} is not deformation-compatible with {predicted_jumps(t)}"
         )
     scale = scale % t.p
     if scale == 0:
@@ -338,9 +344,8 @@ def deform(
     out = TowerSpec(
         p=t.p, m=t.m, r=t.r, x_polys=tuple(new_polys), residue_class=t.residue_class
     )
-    verdict = validate_spec(out)
-    if not verdict.valid:
-        raise RuntimeError(f"deformed tower is invalid: {verdict.violations[0]}")
+    if not out.verdict.valid:
+        raise RuntimeError(f"deformed tower is invalid: {out.verdict.violations[0]}")
     return out
 
 
@@ -363,13 +368,10 @@ class DeformationVerdict:
         }
 
 
-def verify_deformation(
-    t: TowerSpec, target: JumpSequence, scale: int = 1, verdict: SpecVerdict | None = None
-) -> DeformationVerdict:
-    """Deform and confirm both routes report exactly the target jumps
-    (verdict as in deform)."""
-    deformed = deform(t, target, scale, verdict)
-    predicted = predicted_jumps(deformed, _VALID)  # deform refuses an invalid result
+def verify_deformation(t: TowerSpec, target: JumpSequence, scale: int = 1) -> DeformationVerdict:
+    """Deform and confirm both routes report exactly the target jumps."""
+    deformed = deform(t, target, scale)
+    predicted = predicted_jumps(deformed)
     oracle = oracle_jumps(deformed) if oracle_supported(deformed) else None
     ok = predicted == target and (oracle is None or oracle == target)
     if ok:

@@ -569,7 +569,6 @@ def test_each_tower_is_validated_once(tmp_path, capsys, monkeypatch):
 
     original = towers.validate_spec
     monkeypatch.setattr(towers, "validate_spec", counted)
-    monkeypatch.setattr(cli, "validate_spec", counted)
     valid = tmp_path / "tower.txt"
     valid.write_text("7 2 2 1\n0 0 0 1\n0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1\n", encoding="ascii")
     invalid = tmp_path / "bad.txt"
@@ -628,6 +627,23 @@ def test_verify_group_matches_its_golden_report(capsys, p, ell, budget, code):
     golden = (GOLDEN / f"verify-group-{p}-{ell}.json").read_text(encoding="ascii")
     assert run(capsys, "verify-group", "--p", str(p), "--ell", str(ell),
                "--budget", str(budget)) == (code, golden, "")
+
+
+def test_tower_commands_match_their_goldens(tmp_path, capsys):
+    # tower-predict on a valid two-layer tower, tower-oracle on the raw
+    # x^14 + x, and deform's stdout and --out file, byte for byte; CI holds
+    # python3 -S under two hash seeds to the same goldens
+    def golden(name):
+        return (GOLDEN / name).read_text(encoding="ascii")
+
+    valid, raw = str(GOLDEN / "tower-valid.txt"), str(GOLDEN / "tower-raw.txt")
+    out_path = tmp_path / "deformed.txt"
+    assert run(capsys, "tower-predict", "--spec", valid) == (
+        0, golden("tower-predict-valid.json"), "")
+    assert run(capsys, "tower-oracle", "--spec", raw) == (0, golden("tower-oracle-raw.json"), "")
+    assert run(capsys, "deform", "--spec", valid, "--target", "5/2,35/2",
+               "--out", str(out_path)) == (0, golden("deform-valid.json"), "")
+    assert out_path.read_text(encoding="ascii") == golden("deform-valid-out.txt")
 
 
 def test_check_all_matches_its_golden_stream(capsys):

@@ -14,7 +14,7 @@ import pytest
 from wildram import cli
 from wildram.exactmath import is_prime, prime_factors, vp
 from wildram.groups import ORDER_LIMIT, Subgroup, _conjugate
-from wildram.psl2 import Psl2Atlas, _mat_mul, psl2_atlas
+from wildram.psl2 import Psl2Atlas, _mat_mul, primitive_root, psl2_atlas
 from wildram.tails import SmallGroup, generation_obstruction
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +70,31 @@ def test_table_axioms(kind, args):
     for x, y in product(range(g.n), repeat=2):
         (b1, a1), (b2, a2) = divmod(x, q), divmod(y, q)
         assert g.mul(x, y) == (a1 + pow(u, b1, q) * a2) % q + q * ((b1 + b2) % m)
+
+
+def _unit_order(u, q):
+    """The multiplicative order of the unit u mod q, by walking u, u^2, ...
+    until 1."""
+    k, x = 1, u % q
+    while x != 1:
+        x, k = x * u % q, k + 1
+    return k
+
+
+@pytest.mark.parametrize("kind,args", [shape for shape in SHAPES if shape[0] == "semidirect"])
+def test_semidirect_acts_by_the_least_unit_of_its_order(kind, args):
+    p, r, m = args[:3]
+    m_I = args[3] if len(args) > 3 else gcd(m, p - 1)
+    q, unit = p**r, build(kind, args).action_unit
+    assert _unit_order(unit, q) == m_I
+    assert all(_unit_order(u, q) != m_I for u in range(1, unit) if u % p)
+
+
+def test_primitive_root_is_the_least_unit_of_full_order():
+    for ell in filter(is_prime, range(3, 2000)):
+        g = primitive_root(ell)
+        assert _unit_order(g, ell) == ell - 1
+        assert all(_unit_order(h, ell) < ell - 1 for h in range(2, g))
 
 
 @pytest.mark.parametrize("kind,args", OBSTRUCTION_SHAPES)

@@ -645,18 +645,18 @@ def test_deformation_random_draws_the_targets_of_the_filter(monkeypatch):
     # the check-all golden reports only {"pairs": 50}, so a changed target
     # would not show there; the 50 (spec, target, scale) triples of the
     # suite's seed are pinned against the filter's draws instead
-    def filtered_random_target(spec, rng, verdict=None):
+    def filtered_random_target(spec, rng):
         inertia = inertia_type_of(spec)
-        base = predicted_jumps(spec, verdict)
+        base = predicted_jumps(spec)
         return rng.choice(filtered_targets(inertia, base, base[-1] + 8))
 
     def draws():
         seen = []
         real = checks.verify_deformation
 
-        def record(spec, target, scale, verdict=None):
+        def record(spec, target, scale):
             seen.append((spec.to_dict(), target, scale))
-            return real(spec, target, scale, verdict)
+            return real(spec, target, scale)
 
         with monkeypatch.context() as patch:
             patch.setattr(checks, "verify_deformation", record)
@@ -670,8 +670,8 @@ def test_deformation_random_draws_the_targets_of_the_filter(monkeypatch):
 
 
 def test_deformation_random_validates_each_tower_once(monkeypatch):
-    # each base tower once, its verdict passed to the draw and to deform,
-    # and each deformed tower once: 100 calls for the 50 pairs (150 when
+    # each base tower once, its verdict kept on the tower for the draw and
+    # for deform, and each deformed tower once: 100 calls for the 50 pairs (150 when
     # the draw and deform validated the base each)
     calls = []
     real = towers.validate_spec
@@ -681,6 +681,5 @@ def test_deformation_random_validates_each_tower_once(monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(towers, "validate_spec", counted)
-    monkeypatch.setattr(checks, "validate_spec", counted)
     assert checks.check_deformation_random() == {"pairs": 50}
     assert len(calls) == 100

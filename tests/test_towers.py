@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
@@ -454,38 +455,62 @@ def test_validate_spec_matches_the_per_term_walk():
     assert bad_terms == {(f"x_{i}", kind) for i in (1, 2, 3) for kind in (True, False)}
 
 
-@pytest.mark.parametrize(
-    "spec, message",
-    [
-        (
-            TowerSpec(p=3, m=1, r=1, x_polys=(poly(3, (3, 1), (1, 2)),), residue_class=0),
-            "invalid tower: x_1: term degree 3 is not prime to p = 3",
+# invalid towers, each with the refusal of the recurrence routes
+INVALID_TOWERS = [
+    (
+        TowerSpec(p=3, m=1, r=1, x_polys=(poly(3, (3, 1), (1, 2)),), residue_class=0),
+        "invalid tower: x_1: term degree 3 is not prime to p = 3",
+    ),
+    (
+        TowerSpec(
+            p=7, m=2, r=2,
+            x_polys=(poly(7, (3, 1)), poly(7, (8, 1), (9, 1))),
+            residue_class=1,
         ),
-        (
-            TowerSpec(
-                p=7, m=2, r=2,
-                x_polys=(poly(7, (3, 1)), poly(7, (8, 1), (9, 1))),
-                residue_class=1,
-            ),
-            "invalid tower: x_2: term degree 8 is not 1 mod m = 2",
+        "invalid tower: x_2: term degree 8 is not 1 mod m = 2",
+    ),
+    (
+        TowerSpec(
+            p=5, m=1, r=2, x_polys=(FpPolynomial.zero(5), poly(5, (3, 1))), residue_class=0
         ),
-        (
-            TowerSpec(
-                p=5, m=1, r=2, x_polys=(FpPolynomial.zero(5), poly(5, (3, 1))), residue_class=0
-            ),
-            "invalid tower: x_1 is the zero polynomial",
-        ),
-        (
-            TowerSpec(p=5, m=3, r=1, x_polys=(poly(5, (1, 1)),), residue_class=1),
-            "invalid tower: action order m_I = 3 does not divide p - 1 = 4",
-        ),
-    ],
-)
+        "invalid tower: x_1 is the zero polynomial",
+    ),
+    (
+        TowerSpec(p=5, m=3, r=1, x_polys=(poly(5, (1, 1)),), residue_class=1),
+        "invalid tower: action order m_I = 3 does not divide p - 1 = 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, message", INVALID_TOWERS)
 def test_predicted_jumps_invalid_tower_messages(spec, message):
     for route in (predicted_jumps, predicted_numerators):
         with pytest.raises(ValueError) as info:
             route(spec)
         assert str(info.value) == message
+
+
+def test_a_tower_holds_its_verdict():
+    # spec.verdict is validate_spec(spec), the same object on every read,
+    # valid and invalid towers alike (validate_spec builds a new verdict
+    # for each call on an invalid tower)
+    specs = sweep_tower_specs() + [spec for spec, _ in INVALID_TOWERS]
+    for spec in specs:
+        assert spec.verdict is spec.verdict
+        assert spec.verdict == validate_spec(spec), spec.to_dict()
+    assert {spec.verdict.valid for spec in specs} == {True, False}
+
+
+def test_a_read_verdict_leaves_the_tower_as_it_was():
+    # the memo is no field: a tower whose verdict was read equals, hashes
+    # and prints as an equal tower whose verdict was not
+    valid = monomial_tower(7, 2, 3, r=2, second=poly(7, (23, 1)))
+    for spec in [valid] + [spec for spec, _ in INVALID_TOWERS]:
+        read, fresh = replace(spec), replace(spec)
+        assert read.verdict == validate_spec(fresh)
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert read.to_dict() == fresh.to_dict()
+        assert format_tower_spec(read) == format_tower_spec(fresh)
 
 
 def test_sweep_specs_pinned():
