@@ -6,8 +6,10 @@ unbounded integer parts.  This module adds the pieces the rest of the
 package needs on top of that:
 
 * p-adic valuation of nonzero integers,
-* univariate polynomials over F_p as exact coefficient tuples, multiplied
-  by Kronecker substitution (``mul_coeffs``),
+* univariate polynomials over F_p as exact coefficient tuples, with sum,
+  negation and the Frobenius image,
+* the product of two coefficient sequences mod an integer by Kronecker
+  substitution (``mul_coeffs``), the kernel of the Witt carry,
 * Artin-Schreier reduction of such polynomials, i.e. rewriting modulo the
   image of w -> w^p - w until every positive term degree is prime to p,
 * the least unit of a given multiplicative order mod p^r, which fixes
@@ -158,26 +160,14 @@ def smallest_unit_of_order(q: int, p: int, order: int) -> int:
     raise ValueError(f"no unit of order {order} mod {q}")
 
 
-def _pack(coeffs, w: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
-
-
 # Kronecker slots read as machine integers: an exact slot width of 1 to 8
 # bytes -> (lane width, array typecode), the narrowest unsigned lane of 1, 2,
 # 4 or 8 bytes that holds it.  Typecodes are picked by itemsize, since the
-# sizes of the letters vary by platform; lanes are little-endian on any host.
+# sizes of the letters vary by platform.
 _LANES = {
     w: min((array(code).itemsize, code) for code in "BHILQ" if array(code).itemsize >= w)
     for w in range(1, 9)
 }
-_SWAP = sys.byteorder == "big"
-
-
-def _pack_lanes(coeffs, code: str) -> int:
-    lanes = array(code, coeffs)
-    if _SWAP:
-        lanes.byteswap()
-    return int.from_bytes(lanes.tobytes(), "little")
 
 
 def mul_coeffs(a, b, modulus: int) -> list[int]:
@@ -189,27 +179,26 @@ def mul_coeffs(a, b, modulus: int) -> list[int]:
     Karatsuba, or its squaring when b is a), and the slots of the product
     are read back.  An exact product coefficient is at most
     min(len a, len b) (modulus - 1)^2, so w bytes that hold this bound keep
-    the slots from overlapping, and so does any wider slot.  Up to 8 bytes
-    the slot is widened to a machine lane and packed and read by ``array``
-    in C; wider slots, from moduli near PRIME_LIMIT, go byte by byte.
+    the slots from overlapping, and so does any wider slot.  The slot is
+    widened to a machine lane of 1, 2, 4 or 8 bytes, and ``array`` packs
+    and reads the lanes in C, in the host's byte order: on a big-endian
+    host the first coefficient lands in the top slot, so both sides and the
+    product are reversed, and the product reads back in order all the same.
+    The Witt carry, the only caller, multiplies mod p^2 only when a first
+    layer has a term at a multiple of p, and the tower size cap allows that
+    only for p^2 <= 65536, so its slots take at most 6 bytes; a slot past 8
+    bytes raises RuntimeError.
     """
     if not a or not b:
         return []
     w = ((min(len(a), len(b)) * (modulus - 1) ** 2).bit_length() + 7) // 8
-    n = len(a) + len(b) - 1
-    lane = _LANES.get(w)
-    if lane is None:
-        big_a = _pack(a, w)
-        big_b = big_a if b is a else _pack(b, w)
-        data = (big_a * big_b).to_bytes(n * w, "little")
-        return [int.from_bytes(data[i : i + w], "little") % modulus for i in range(0, n * w, w)]
-    w, code = lane
-    big_a = _pack_lanes(a, code)
-    big_b = big_a if b is a else _pack_lanes(b, code)
+    if w > 8:
+        raise RuntimeError(f"Kronecker slot of {w} bytes exceeds the 8-byte lanes")
+    w, code = _LANES[w]
+    big_a = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+    big_b = big_a if b is a else int.from_bytes(array(code, b).tobytes(), sys.byteorder)
     out = array(code)
-    out.frombytes((big_a * big_b).to_bytes(n * w, "little"))
-    if _SWAP:
-        out.byteswap()
+    out.frombytes((big_a * big_b).to_bytes((len(a) + len(b) - 1) * w, sys.byteorder))
     return [c % modulus for c in out]
 
 
@@ -219,7 +208,10 @@ class FpPolynomial:
 
     Coefficients are stored low degree first with a nonzero leading entry;
     the zero polynomial is the empty tuple and its degree is the marker
-    NEG_INFINITY.
+    NEG_INFINITY.  The arithmetic is sum, negation and the Frobenius image
+    g(x)^p = g(x^p); no product path multiplies two polynomials over F_p,
+    and the Witt carry multiplies coefficient lists mod p^2 by
+    ``mul_coeffs``.
     """
 
     p: int
@@ -274,25 +266,14 @@ class FpPolynomial:
             if c:
                 yield d, c
 
-    def _check_same(self, other: "FpPolynomial"):
+    def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
         if not isinstance(other, FpPolynomial) or other.p != self.p:
             raise ValueError("polynomials over different prime fields")
-
-    def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
-        self._check_same(other)
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         return FpPolynomial(self.p, tuple([x + y for x, y in pairs]))  # reduced by the constructor
 
     def __neg__(self) -> "FpPolynomial":
         return FpPolynomial(self.p, tuple([-x for x in self.coeffs]))  # as in __add__
-
-    def __sub__(self, other: "FpPolynomial") -> "FpPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
-        """Product over F_p by one Kronecker multiply (see mul_coeffs)."""
-        self._check_same(other)
-        return FpPolynomial(self.p, tuple(mul_coeffs(self.coeffs, other.coeffs, self.p)))
 
     def pth_power(self) -> "FpPolynomial":
         """Frobenius image g(x)^p = g(x^p); coefficients are fixed over F_p."""

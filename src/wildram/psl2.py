@@ -321,12 +321,13 @@ class Psl2Atlas(FiniteGroup):
     Elements are sign-canonical SL2 matrices: of the pair {M, -M} keep the
     lexicographically first, whose first nonzero entry lies in 1..(l-1)/2.
     A matrix (a, b, c, d) of determinant 1 is fixed by its code
-    (a l + b) l + c when a != 0 (then d = (1 + bc)/a) and l^3 + b l + d
-    when a = 0 (then c = -1/b); the flat list ``_slot`` maps the codes of
-    both M and -M to that element's id, so a product is computed entry by
-    entry and looked up once.  ``mul``, ``products`` and ``conjugates`` each
-    inline that arithmetic; a conjugation g x g^-1 is one fused product
-    with g's inverse (d, -b, -c, a), not two.
+    (a l + b) l + (c if a else d), since d = (1 + bc)/a when a != 0 and
+    c = -1/b when a = 0; the codes b l + d of a = 0 lie below l^2, and those
+    of a != 0 from l^2 up.  The flat list ``_slot`` of l^3 entries maps the
+    codes of both M and -M to that element's id, so a product is computed
+    entry by entry and looked up once.  ``mul``, ``products`` and ``conjugates``
+    each inline that arithmetic; a conjugation g x g^-1 is one fused
+    product with g's inverse (d, -b, -c, a), not two.
     """
 
     def __init__(self, ell: int):
@@ -342,21 +343,18 @@ class Psl2Atlas(FiniteGroup):
         a, b, c, d = self.elements[x]
         p, q, r, s = self.elements[y]
         top = (a * p + b * r) % ell
-        if top:
-            return slot[(top * ell + (a * q + b * s) % ell) * ell + (c * p + d * r) % ell]
-        return slot[self._a_zero + (a * q + b * s) % ell * ell + (c * q + d * s) % ell]
+        last = c * p + d * r if top else c * q + d * s
+        return slot[(top * ell + (a * q + b * s) % ell) * ell + last % ell]
 
     def products(self, xs, g: int) -> list[int]:
-        ell, elements, slot, a_zero = self.ell, self.elements, self._slot, self._a_zero
+        ell, elements, slot = self.ell, self.elements, self._slot
         p, q, r, s = elements[g]
         out = []
         for x in xs:
             a, b, c, d = elements[x]
             top = (a * p + b * r) % ell
-            if top:
-                out.append(slot[(top * ell + (a * q + b * s) % ell) * ell + (c * p + d * r) % ell])
-            else:
-                out.append(slot[a_zero + (a * q + b * s) % ell * ell + (c * q + d * s) % ell])
+            last = c * p + d * r if top else c * q + d * s
+            out.append(slot[(top * ell + (a * q + b * s) % ell) * ell + last % ell])
         return out
 
     def conjugates(self, g: int, xs) -> list[int]:
@@ -364,7 +362,7 @@ class Psl2Atlas(FiniteGroup):
         # row (ad w - ac x + bd y - bc z, -ab w + a^2 x - b^2 y + ab z),
         # bottom-left entry cd w - c^2 x + d^2 y - cd z and trace w + z, so
         # its bottom-right entry is w + z where the top-left one is 0
-        ell, elements, slot, a_zero = self.ell, self.elements, self._slot, self._a_zero
+        ell, elements, slot = self.ell, self.elements, self._slot
         a, b, c, d = elements[g]
         ad, ac, bd, bc = a * d, -a * c, b * d, -b * c
         ab, aa, bb = a * b, a * a, -b * b
@@ -374,11 +372,8 @@ class Psl2Atlas(FiniteGroup):
             w, x, y, z = elements[i]
             top = (ad * w + ac * x + bd * y + bc * z) % ell
             right = (ab * (z - w) + aa * x + bb * y) % ell
-            if top:
-                left = (cd * (w - z) + cc * x + dd * y) % ell
-                out.append(slot[(top * ell + right) * ell + left])
-            else:
-                out.append(slot[a_zero + right * ell + (w + z) % ell])
+            last = cd * (w - z) + cc * x + dd * y if top else w + z
+            out.append(slot[(top * ell + right) * ell + last % ell])
         return out
 
     def _schreier_generators(self, gens):
@@ -480,15 +475,11 @@ class Psl2Atlas(FiniteGroup):
         expected = ell * (ell * ell - 1) // 2
         if self.n != expected:
             raise RuntimeError(f"PSL2(F_{ell}) enumeration found {self.n}, expected {expected}")
-        a_zero = self._a_zero = ell**3  # the first code of a matrix with a = 0
-        slot = [0] * (a_zero + ell * ell)
+        slot = [0] * ell**3
         for i, (a, b, c, d) in enumerate(elements):
-            if a:
-                slot[(a * ell + b) * ell + c] = i
-                slot[((ell - a) * ell + -b % ell) * ell + -c % ell] = i
-            else:
-                slot[a_zero + b * ell + d] = i
-                slot[a_zero + (ell - b) * ell + -d % ell] = i
+            last = c if a else d
+            slot[(a * ell + b) * ell + last] = i
+            slot[(-a % ell * ell + -b % ell) * ell + -last % ell] = i
         self._slot = slot
 
 

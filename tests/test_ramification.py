@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wildram import checks, towers
 from wildram.checks import naive_admissible_filter, random_admissible_numerators, random_inertia
-from wildram.exactmath import format_rational
+from wildram.exactmath import format_rational, is_prime
 from wildram.psl2 import InertiaType, group_params, inertia_candidates
 from wildram.ramification import (
     AdmissibilityVerdict,
@@ -260,6 +260,24 @@ def test_base_sigma():
     assert base_sigma(D49, 97) is None
     with pytest.raises(ValueError):
         base_sigma(D49, 13)  # a = 1 admits no r = 2 candidate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="base_sigma at p = 3 prints sequences that fail condition (c), such as"
+    " (3/2) for D_3 at ell = 97; 68 (ell, shape) cases below 200",
+)
+def test_base_sigma_is_admissible_at_p3():
+    # every sequence base_sigma names must pass conditions (a)-(d)
+    rejected = []
+    for ell in range(5, 200):
+        if not is_prime(ell):
+            continue
+        for inertia in inertia_candidates(group_params(3, ell)):
+            seq = base_sigma(inertia, ell)
+            if seq is not None and not is_admissible(inertia, seq).admissible:
+                rejected.append((ell, inertia.label(), [format_rational(u) for u in seq]))
+    assert rejected == []
 
 
 # ---------------------------------------------------------------------------

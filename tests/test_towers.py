@@ -218,17 +218,23 @@ def carry_row(p):
     return tuple(comb(p, i) // p % p for i in range(1, p))
 
 
+def times(a, b):
+    """The product of two polynomials over F_p, by the kernel that
+    test_mul_coeffs_matches_schoolbook checks."""
+    return FpPolynomial(a.p, tuple(exactmath.mul_coeffs(a.coeffs, b.coeffs, a.p)))
+
+
 def binomial_carry(a, b):
     """The carry oracle: -sum over i of binom(p, i)/p a^i b^(p-i), from the
     binomial expansion of (a + b)^p."""
     p = a.p
     pow_a, pow_b = [FpPolynomial(p, (1,))], [FpPolynomial(p, (1,))]
     for _ in range(p - 1):
-        pow_a.append(pow_a[-1] * a)
-        pow_b.append(pow_b[-1] * b)
+        pow_a.append(times(pow_a[-1], a))
+        pow_b.append(times(pow_b[-1], b))
     total = FpPolynomial.zero(p)
     for i, c in enumerate(carry_row(p), start=1):
-        total = total + pow_a[i] * pow_b[p - i] * FpPolynomial(p, (c,))
+        total = total + times(times(pow_a[i], pow_b[p - i]), FpPolynomial(p, (c,)))
     return -total
 
 
@@ -257,8 +263,8 @@ def test_witt_carry_matches_binomial_row(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_witt_carry_product_budget(p, monkeypatch):
     # a work budget with no timing noise: three p-th powers by
-    # square-and-multiply, counted at the kernel, which FpPolynomial
-    # products reach too; the binomial row takes 3p - 5 products
+    # square-and-multiply, counted at the kernel; the binomial row takes
+    # 3p - 5 products
     mul, count = exactmath.mul_coeffs, [0]
 
     def counting(a, b, modulus):
@@ -278,7 +284,7 @@ def test_witt_carry_closed_form():
     # p = 3: (a^3 + b^3 - (a+b)^3)/3 = -(a^2 b + a b^2)
     a = poly(3, (1, 1))
     b = poly(3, (2, 1))
-    expect = -(a * a * b + a * b * b)
+    expect = -(times(times(a, a), b) + times(a, times(b, b)))
     assert witt_carry(a, b) == expect
 
 
@@ -351,7 +357,7 @@ def test_oracle_invariant_under_plain_shift_r1():
         if not degs:
             continue
         w = FpPolynomial.monomial(spec.p, rng.randint(1, spec.p - 1), rng.choice(degs))
-        shifted = spec.x_polys[0] + w.pth_power() - w
+        shifted = spec.x_polys[0] + w.pth_power() + -w
         shifted_spec = TowerSpec(
             p=spec.p, m=spec.m, r=1, x_polys=(shifted,), residue_class=spec.residue_class
         )
@@ -366,7 +372,7 @@ def test_oracle_invariant_under_second_layer_shift():
         if not degs:
             continue
         w = FpPolynomial.monomial(spec.p, rng.randint(1, spec.p - 1), rng.choice(degs))
-        shifted = spec.x_polys[1] + w.pth_power() - w
+        shifted = spec.x_polys[1] + w.pth_power() + -w
         shifted_spec = TowerSpec(
             p=spec.p,
             m=spec.m,
