@@ -9,7 +9,8 @@ package needs on top of that:
 * univariate polynomials over F_p as exact coefficient tuples, with sum,
   negation and the Frobenius image,
 * the product of two coefficient sequences mod an integer by Kronecker
-  substitution (``mul_coeffs``), the kernel of the Witt carry,
+  substitution (``mul_coeffs``), the kernel of the tower oracle's shift
+  and of the Witt carry,
 * Artin-Schreier reduction of such polynomials, i.e. rewriting modulo the
   image of w -> w^p - w until every positive term degree is prime to p,
 * the least unit of a given multiplicative order mod p^r, which fixes
@@ -184,10 +185,10 @@ def mul_coeffs(a, b, modulus: int) -> list[int]:
     and reads the lanes in C, in the host's byte order: on a big-endian
     host the first coefficient lands in the top slot, so both sides and the
     product are reversed, and the product reads back in order all the same.
-    The Witt carry, the only caller, multiplies mod p^2 only when a first
-    layer has a term at a multiple of p, and the tower size cap allows that
-    only for p^2 <= 65536, so its slots take at most 6 bytes; a slot past 8
-    bytes raises RuntimeError.
+    The tower oracle's shift step, the only caller a command line reaches,
+    multiplies mod p^2 only when a first layer has a term at a multiple of
+    p, and the tower size cap allows that only for p^2 <= 65536, so its
+    slots take at most 6 bytes; a slot past 8 bytes raises RuntimeError.
     """
     if not a or not b:
         return []
@@ -210,8 +211,8 @@ class FpPolynomial:
     the zero polynomial is the empty tuple and its degree is the marker
     NEG_INFINITY.  The arithmetic is sum, negation and the Frobenius image
     g(x)^p = g(x^p); no product path multiplies two polynomials over F_p,
-    and the Witt carry multiplies coefficient lists mod p^2 by
-    ``mul_coeffs``.
+    and the oracle's shift and the Witt carry multiply coefficient lists
+    mod p^2 by ``mul_coeffs``.
     """
 
     p: int

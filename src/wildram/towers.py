@@ -9,13 +9,13 @@ degree constraints.
 
 The jump recurrence reads the upper jumps straight off the degrees:
 u_1 = deg(x_1)/m and u_i = max(deg(x_i)/m, p u_{i-1}).  The oracle route
-recomputes them from first principles for r <= 2: it packs the layers into
-a length-2 Witt vector, reduces it layer by layer (with the true carry
-polynomial (a^p + b^p - (a+b)^p)/p), reads off lower jumps over the tame
-field and converts back through the Herbrand map.  The oracle accepts
-towers whose polynomials still contain p-divisible degrees, since the
-reduction removes them; the residue class is derived from the reduced
-data.
+recomputes them from first principles for r <= 2: it reads the layers as a
+length-2 Witt vector, reduces it layer by layer (the first layer's shift
+carried into the second through the ghost components mod p^2), reads off
+lower jumps over the tame field and converts back through the Herbrand
+map.  The oracle accepts towers whose polynomials still contain
+p-divisible degrees, since the reduction removes them; the residue class
+is derived from the reduced data.
 
 Both routes run on integers.  predicted_numerators returns the
 numerators n_i = m u_i once the tower's verdict (validate_spec, computed
@@ -221,6 +221,27 @@ def witt_carry(a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
     )
 
 
+def _shifted_second_layer(
+    x1: FpPolynomial, x2: FpPolynomial, reduced: FpPolynomial, shift: FpPolynomial
+) -> FpPolynomial:
+    """Second component of (x_1, x_2) - F(s, 0) + (s, 0), where s = shift
+    and the first component x_1 - (s^p - s) is reduced: the step in ghost
+    components that oracle_numerators derives.
+
+    S(x^p)^p is (S^p)(x^p), the coefficients of S^p spread to every p-th
+    slot, so the step takes three p-th powers mod p^2 by _power_mod, one of
+    them at degree p deg s (the two (F(s) - s)^p terms of the carries
+    cancel).  witt_add((x_1, x_2), witt_neg(witt_wp((s, 0)))) takes six.
+    """
+    p = x1.p
+    q = p * p
+    px, py, ps = (_power_mod(c, p, q) for c in (x1.coeffs, reduced.coeffs, shift.coeffs))
+    spread = [0] * ((len(ps) - 1) * p + 1)
+    spread[::p] = ps
+    terms = zip_longest(px, py, ps, spread, x2.coeffs, fillvalue=0)
+    return FpPolynomial(p, tuple([(a - b + c - d) % q // p + e for a, b, c, d, e in terms]))
+
+
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
     return (u[0] + v[0], u[1] + v[1] + witt_carry(u[0], v[0]))
 
@@ -230,17 +251,10 @@ def witt_neg(u: WittVector) -> WittVector:
     return (-u[0], -u[1])
 
 
-def witt_sub(u: WittVector, v: WittVector) -> WittVector:
-    return witt_add(u, witt_neg(v))
-
-
-def witt_frobenius(u: WittVector) -> WittVector:
-    return (u[0].pth_power(), u[1].pth_power())
-
-
 def witt_wp(u: WittVector) -> WittVector:
-    """The additive map w -> F(w) - w on length-2 Witt vectors."""
-    return witt_sub(witt_frobenius(u), u)
+    """The additive map w -> F(w) - w on length-2 Witt vectors, where the
+    Frobenius F(w) = (w_0^p, w_1^p) is the p-th power of each component."""
+    return witt_add((u[0].pth_power(), u[1].pth_power()), witt_neg(u))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +280,16 @@ def oracle_numerators(t: TowerSpec) -> list[int]:
     Unlike predicted_numerators this accepts towers whose polynomials are
     not yet reduced (their extension is unchanged by w^p - w shifts); it
     refuses constant terms, which over F_p cannot be shifted away.
+
+    At r = 2 the first layer reduces to x_1 - (s^p - s) with witness s,
+    and the Witt vector (x_1, x_2) is shifted by -wp((s, 0)), with
+    wp(w) = F(w) - w.  In ghost components (Serre, Local Fields, II.6),
+    with X, Y and S the [0, p) lifts of x_1, of the reduced first layer and
+    of s, the second ghost component of (x_1, x_2) - F(s, 0) + (s, 0) is
+    X^p + p x_2 - S(x^p)^p + S^p mod p^2, and that of its value
+    (y_1, y_2) is Y^p + p y_2.  So the shifted second layer is
+    y_2 = x_2 + (X^p - Y^p - S(x^p)^p + S^p)/p mod p
+    (_shifted_second_layer), which is then reduced in turn.
     """
     if t.r > 2:
         raise NotImplementedError(
@@ -286,12 +310,12 @@ def oracle_numerators(t: TowerSpec) -> list[int]:
         inertia = _inertia_type(p, 1, m, m // gcd(m, rc))
         return upper_numerators(inertia, [h1])
 
-    vector: WittVector = (t.x_polys[0], t.x_polys[1])
+    x1, x2 = t.x_polys
     if not shift0.is_zero:
-        vector = witt_sub(vector, witt_wp((shift0, FpPolynomial.zero(p))))
-        if vector[0] != reduced0:
+        if x1 + -shift0.pth_power() + shift0 != reduced0:
             raise RuntimeError("Witt shift did not reproduce the reduced first layer")
-    reduced1, _ = as_reduce_with_witness(vector[1])
+        x2 = _shifted_second_layer(x1, x2, reduced0, shift0)
+    reduced1, _ = as_reduce_with_witness(x2)
 
     n1 = len(reduced1.coeffs) - 1  # below 1 when the layer adds no ramification
     if n1 >= 1 and n1 % p == 0:

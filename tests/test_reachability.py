@@ -26,11 +26,22 @@ ENGINE = (
     "an engine default that Psl2Atlas overrides: only SmallGroup's subgroup search"
     " uses it, and only tests run that search"
 )
+# the oracle shifts a raw tower in one ghost-component step, so the Witt
+# vector arithmetic only builds raw towers
+WITT_STEP = (
+    "a step of witt_add and witt_wp, with which perfbench's make_towers (tower-verify"
+    " and cli-check) builds raw towers, and of the tests' independent construction"
+    " of the oracle's shift"
+)
 # module.qualname -> why no command line enters it
 UNREACHED = {
     "exactmath.as_reduce": BENCHMARK.format("tower-verify"),
     "checks.valid_residue_classes": BENCHMARK.format("tower-verify and cli-check"),
     "ramification.deformation_compatible": BENCHMARK.format("tower-verify and cli-check"),
+    "towers.witt_add": BENCHMARK.format("make_towers (tower-verify and cli-check)"),
+    "towers.witt_wp": BENCHMARK.format("make_towers (tower-verify and cli-check)"),
+    "towers.witt_carry": WITT_STEP,
+    "towers.witt_neg": WITT_STEP,
     "ramification.lower_from_upper": BENCHMARK.format("enumerate-tails"),
     "ramification.upper_from_lower": BENCHMARK.format("enumerate-tails"),
     "groups.FiniteGroup.mul": ENGINE,

@@ -260,11 +260,8 @@ def test_witt_carry_matches_binomial_row(p):
         assert witt_carry(a, b) == witt_carry(b, a)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_witt_carry_product_budget(p, monkeypatch):
-    # a work budget with no timing noise: three p-th powers by
-    # square-and-multiply, counted at the kernel; the binomial row takes
-    # 3p - 5 products
+def count_products(monkeypatch):
+    """A one-entry list that counts the mul_coeffs calls from here on."""
     mul, count = exactmath.mul_coeffs, [0]
 
     def counting(a, b, modulus):
@@ -273,10 +270,114 @@ def test_witt_carry_product_budget(p, monkeypatch):
 
     monkeypatch.setattr(exactmath, "mul_coeffs", counting)
     monkeypatch.setattr(towers, "mul_coeffs", counting)
+    return count
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_witt_carry_product_budget(p, monkeypatch):
+    # a work budget with no timing noise: three p-th powers by
+    # square-and-multiply, counted at the kernel; the binomial row takes
+    # 3p - 5 products
+    count = count_products(monkeypatch)
     rng = random.Random(p)
     a = FpPolynomial(p, tuple(rng.randrange(1, p) for _ in range(30)))
     b = FpPolynomial(p, tuple(rng.randrange(1, p) for _ in range(20)))
     witt_carry(a, b)
+    assert 0 < count[0] <= 3 * ((p.bit_length() - 1) + bin(p).count("1") - 1)
+
+
+def carry_route_second_layer(x1, x2):
+    """The second component of (x_1, x_2) - wp((s, 0)), s the witness of the
+    first layer's reduction, by two full Witt carries: the independent
+    construction of the shift the oracle makes in one ghost-component step."""
+    _, shift = exactmath.as_reduce_with_witness(x1)
+    return witt_add((x1, x2), witt_neg(witt_wp((shift, FpPolynomial.zero(x1.p)))))[1]
+
+
+def oracle_second_layer(x1, x2, monkeypatch):
+    """The second layer oracle_numerators reduces, caught at its second
+    as_reduce_with_witness call, and the numerators it returns."""
+    seen, reduce = [], towers.as_reduce_with_witness
+
+    def spy(g):
+        seen.append(g)
+        return reduce(g)
+
+    monkeypatch.setattr(towers, "as_reduce_with_witness", spy)
+    spec = TowerSpec(p=x1.p, m=1, r=2, x_polys=(x1, x2), residue_class=0)
+    numerators = oracle_numerators(spec)
+    monkeypatch.undo()
+    assert len(seen) == 2
+    return seen[1], numerators
+
+
+def raw_layer(rng, p, degree):
+    """A dense layer of the given degree with no constant term and a term at
+    every multiple of p, so that the reduction shifts it."""
+    coeffs = [0] + [rng.randrange(p) for _ in range(degree - 1)] + [rng.randrange(1, p)]
+    coeffs[p::p] = [rng.randrange(1, p) for _ in coeffs[p::p]]
+    return FpPolynomial(p, tuple(coeffs))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_oracle_shift_matches_the_carry_route(p, monkeypatch):
+    rng = random.Random(p)
+    zero = FpPolynomial.zero(p)
+    cases = [
+        (raw_layer(rng, p, rng.randint(p + 1, 6 * p)), raw_layer(rng, p, rng.randint(1, 8 * p)))
+        for _ in range(12)
+    ]
+    cases += [(raw_layer(rng, p, rng.randint(p + 1, 6 * p)), zero) for _ in range(3)]
+    # a first layer whose only term at a multiple of p is x^p: a shift of degree 1
+    degree_one = poly(p, (p, rng.randrange(1, p)), (p - 1, 1), (1, rng.randrange(p)))
+    cases.append((degree_one, raw_layer(rng, p, 2 * p + 1)))
+    for x1, x2 in cases:
+        shifted, _ = oracle_second_layer(x1, x2, monkeypatch)
+        assert shifted == carry_route_second_layer(x1, x2)
+    assert exactmath.as_reduce_with_witness(degree_one)[1].degree == 1
+
+    # a second layer that the shift turns into z^p - z, which reduces to zero:
+    # the second layer adds no ramification (n1 < 1), as on the reduced tower
+    # with x_2 = 0
+    x1 = raw_layer(rng, p, 3 * p + 1)
+    z = raw_layer(rng, p, 4)
+    x2 = -carry_route_second_layer(x1, zero) + z.pth_power() + -z
+    shifted, numerators = oracle_second_layer(x1, x2, monkeypatch)
+    assert shifted == z.pth_power() + -z == carry_route_second_layer(x1, x2)
+    assert exactmath.as_reduce(shifted).is_zero
+    reduced = TowerSpec(
+        p=p, m=1, r=2, x_polys=(exactmath.as_reduce(x1), zero), residue_class=0
+    )
+    assert numerators == oracle_numerators(reduced)
+
+    # c x^p - c x reduces to zero: refused before any shift is taken
+    c = rng.randrange(1, p)
+    unramified = TowerSpec(
+        p=p, m=1, r=2, x_polys=(poly(p, (p, c), (1, p - c)), x2), residue_class=0
+    )
+    with pytest.raises(ValueError, match="unramified"):
+        oracle_numerators(unramified)
+
+
+def test_oracle_shift_matches_the_carry_route_at_p251(monkeypatch):
+    # p^2 = 63001: the widest Kronecker lanes a tower file reaches
+    rng = random.Random(251)
+    x1 = FpPolynomial.from_terms(
+        251, {251: 250, **{d: rng.randrange(1, 251) for d in rng.sample(range(1, 251), 20)}}
+    )
+    x2 = FpPolynomial.from_terms(251, {d: rng.randrange(1, 251) for d in rng.sample(range(1, 600), 20)})
+    shifted, _ = oracle_second_layer(x1, x2, monkeypatch)
+    assert shifted == carry_route_second_layer(x1, x2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_raw_oracle_product_budget(p, monkeypatch):
+    # one raw r = 2 oracle takes three p-th powers by square-and-multiply,
+    # counted at the kernel; the Witt route's two carries take six
+    count = count_products(monkeypatch)
+    rng = random.Random(p)
+    layers = (raw_layer(rng, p, 4 * p + 1), raw_layer(rng, p, 9 * p + 1))
+    oracle_numerators(TowerSpec(p=p, m=1, r=2, x_polys=layers, residue_class=0))
     assert 0 < count[0] <= 3 * ((p.bit_length() - 1) + bin(p).count("1") - 1)
 
 
